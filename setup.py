@@ -43,9 +43,11 @@ setup(
     package_dir={"": "src"},
     packages=PACKAGES,
     python_requires=">=3.9",
-    install_requires=["numpy"],
+    # scipy is a hard dependency: ``repro.sparse`` imports it (including the
+    # private ``scipy.sparse._sparsetools`` kernels) when ``repro`` is imported.
+    install_requires=["numpy", "scipy"],
     extras_require={
-        "test": ["pytest", "hypothesis", "scipy"],
+        "test": ["pytest", "hypothesis"],
     },
     entry_points={
         "console_scripts": [

@@ -106,20 +106,12 @@ ALLOWLIST: Tuple[AllowlistEntry, ...] = (
     AllowlistEntry(
         rule="DET007",
         path_suffix="repro/comm/payload.py",
-        symbol="_COMPRESS_MEMO",
+        symbol="_ZLIB_MEMO",
         rationale=(
-            "Content-addressed zlib memo (ROADMAP performance invariant): the "
-            "cached bytes are identical to a fresh deflate, only wall-clock is "
-            "skipped; races store identical values."
-        ),
-    ),
-    AllowlistEntry(
-        rule="DET007",
-        path_suffix="repro/comm/payload.py",
-        symbol="_DECOMPRESS_MEMO",
-        rationale=(
-            "Content-addressed zlib memo, inverse direction; cached bytes are "
-            "identical to a fresh inflate, races store identical values."
+            "Content-addressed zlib memo (ROADMAP performance invariant), both "
+            "directions under one budget: the cached bytes are identical to a "
+            "fresh deflate / inflate, only wall-clock is skipped; races store "
+            "identical values."
         ),
     ),
 )

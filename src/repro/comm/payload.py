@@ -15,7 +15,6 @@ allowed message size, and each group is compressed exactly once.
 from __future__ import annotations
 
 import hashlib
-import io
 import struct
 import zlib
 from collections import OrderedDict
@@ -25,7 +24,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 
-from ..sparse import as_csr
+from ..sparse import as_csr, unsafe_csr
 
 __all__ = [
     "encode_row_payload",
@@ -35,6 +34,7 @@ __all__ = [
     "EncodedChunk",
 ]
 
+_INT32_MAX = np.iinfo(np.int32).max
 _MAGIC = b"FSDP"
 _HEADER = struct.Struct("<4sIIQ")  # magic, n_rows, n_cols, nnz
 #: Bytes of value+index storage per stored nonzero (float32 + int32).
@@ -85,28 +85,34 @@ class _ZlibMemo:
             self._bytes -= len(evicted)
 
 
-_COMPRESS_MEMO = _ZlibMemo()
-_DECOMPRESS_MEMO = _ZlibMemo()
+#: One store, one budget, both directions: ``digest(raw) -> deflated`` and
+#: ``digest(deflated) -> raw``.  The two key sets cannot meet -- a raw block
+#: starts with ``_MAGIC``, which is not a zlib stream header -- and sharing
+#: the budget keeps a run of never-repeated payloads from retaining it twice.
+_ZLIB_MEMO = _ZlibMemo()
 
 
 def _compress(raw: bytes) -> bytes:
     key = _ZlibMemo.digest(raw)
-    compressed = _COMPRESS_MEMO.get(key)
+    compressed = _ZLIB_MEMO.get(key)
     if compressed is None:
         compressed = zlib.compress(raw, level=6)
-        _COMPRESS_MEMO.put(key, compressed)
+        _ZLIB_MEMO.put(key, compressed)
         # Prime the inverse transform: the receiver will inflate this exact
         # payload right back.
-        _DECOMPRESS_MEMO.put(_ZlibMemo.digest(compressed), raw)
+        _ZLIB_MEMO.put(_ZlibMemo.digest(compressed), raw)
     return compressed
 
 
 def _decompress(payload: bytes) -> bytes:
     key = _ZlibMemo.digest(payload)
-    raw = _DECOMPRESS_MEMO.get(key)
+    raw = _ZLIB_MEMO.get(key)
     if raw is None:
-        raw = zlib.decompress(payload)
-        _DECOMPRESS_MEMO.put(key, raw)
+        try:
+            raw = zlib.decompress(payload)
+        except zlib.error as error:
+            raise ValueError(f"payload body is not a zlib stream: {error}") from error
+        _ZLIB_MEMO.put(key, raw)
     return raw
 
 
@@ -142,13 +148,15 @@ def encode_row_payload(
         raise ValueError(
             f"payload has {rows.shape[0]} matrix rows but {len(global_rows)} row indices"
         )
-    buffer = io.BytesIO()
-    buffer.write(_HEADER.pack(_MAGIC, rows.shape[0], rows.shape[1], rows.nnz))
-    buffer.write(global_rows.tobytes())
-    buffer.write(_as_bytes(rows.indptr, np.int64))
-    buffer.write(_as_bytes(rows.indices, np.int32))
-    buffer.write(_as_bytes(rows.data, np.float64))
-    raw = buffer.getvalue()
+    raw = b"".join(
+        (
+            _HEADER.pack(_MAGIC, rows.shape[0], rows.shape[1], rows.nnz),
+            global_rows.tobytes(),
+            _as_bytes(rows.indptr, np.int64),
+            _as_bytes(rows.indices, np.int32),
+            _as_bytes(rows.data, np.float64),
+        )
+    )
     if compress:
         return b"Z" + _compress(raw)
     return b"R" + raw
@@ -165,9 +173,17 @@ def decode_row_payload(payload: bytes) -> Tuple[np.ndarray, sparse.csr_matrix]:
         raw = body
     else:
         raise ValueError(f"unknown payload marker {marker!r}")
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"payload body of {len(raw)} bytes is too short for a header")
     magic, n_rows, n_cols, nnz = _HEADER.unpack_from(raw, 0)
     if magic != _MAGIC:
-        raise ValueError("payload is not an encoded row block")
+        raise ValueError(f"payload magic {magic!r} is not an encoded row block's")
+    needed = _HEADER.size + 8 * n_rows + 8 * (n_rows + 1) + (4 + 8) * nnz
+    if len(raw) < needed:
+        raise ValueError(
+            f"payload body of {len(raw)} bytes is too short for its header's "
+            f"n_rows={n_rows}, nnz={nnz} ({needed} bytes)"
+        )
     offset = _HEADER.size
     global_rows = np.frombuffer(raw, dtype=np.int64, count=n_rows, offset=offset).copy()
     offset += global_rows.nbytes
@@ -176,8 +192,18 @@ def decode_row_payload(payload: bytes) -> Tuple[np.ndarray, sparse.csr_matrix]:
     indices = np.frombuffer(raw, dtype=np.int32, count=nnz, offset=offset)
     offset += indices.nbytes
     data = np.frombuffer(raw, dtype=np.float64, count=nnz, offset=offset)
-    matrix = sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
-    return global_rows, matrix
+    shape = (n_rows, n_cols)
+    if nnz > _INT32_MAX or max(shape) > _INT32_MAX:
+        return global_rows, sparse.csr_matrix((data, indices, indptr), shape=shape)
+    # The O(1) checks of scipy's validating constructor, which is skipped:
+    # it costs more than the rest of the decode at hot-path block sizes.
+    if indptr[0] != 0:
+        raise ValueError(f"payload indptr starts at {indptr[0]}, not 0")
+    if indptr[-1] != nnz:
+        raise ValueError(f"payload indptr ends at {indptr[-1]} but the header's nnz is {nnz}")
+    # ``indices`` and ``data`` stay read-only views of the payload bytes (as
+    # the constructor left them); ``indptr`` is narrowed to the index dtype.
+    return global_rows, unsafe_csr(data, indices, indptr.astype(np.int32), shape)
 
 
 def estimate_payload_bytes(row_nnz: np.ndarray, num_rows: int) -> float:
@@ -204,22 +230,26 @@ def chunk_rows(
     global_rows = np.asarray(global_rows, dtype=np.int64)
     if max_chunk_bytes <= _HEADER.size + _BYTES_PER_ROW:
         raise ValueError(f"max_chunk_bytes of {max_chunk_bytes} is too small to hold any row")
+    count = len(global_rows)
+    if rows.shape[0] != count:
+        raise ValueError(f"block has {rows.shape[0]} matrix rows but {count} row indices")
 
-    if len(global_rows) == 0:
+    if count == 0:
         empty = sparse.csr_matrix((0, rows.shape[1]), dtype=np.float64)
         payload = encode_row_payload(global_rows, empty, compress)
         return [EncodedChunk(payload=payload, row_count=0, nnz=0)]
 
-    row_nnz = np.diff(rows.indptr)
+    #: ``cum_nnz[e]`` stored entries precede row ``e`` (CSR's own prefix sum).
+    cum_nnz = rows.indptr
     chunks: List[EncodedChunk] = []
 
     def encode_group(start: int, stop: int) -> None:
         """Encode rows [start, stop); split recursively if too large."""
-        group_rows = global_rows[start:stop]
-        if start == 0 and stop == rows.shape[0]:
-            group_matrix = rows  # whole block (the common case): skip the slice
+        if start == 0 and stop == count:
+            # Whole block (the common case): skip both slices.
+            group_rows, group_matrix = global_rows, rows
         else:
-            group_matrix = rows[start:stop, :]
+            group_rows, group_matrix = global_rows[start:stop], rows[start:stop, :]
         payload = encode_row_payload(group_rows, group_matrix, compress)
         if len(payload) > max_chunk_bytes and stop - start > 1:
             middle = (start + stop) // 2
@@ -230,13 +260,13 @@ def chunk_rows(
             EncodedChunk(
                 payload=payload,
                 row_count=stop - start,
-                nnz=int(row_nnz[start:stop].sum()),
+                nnz=int(cum_nnz[stop]) - int(cum_nnz[start]),
             )
         )
 
     # The greedy per-row loop this replaces admitted rows one at a time until
     # the NNZ-based size estimate overflowed the limit.  The same split points
-    # fall out of a cumulative-sum formulation: with
+    # fall out of a prefix-sum formulation: with
     # ``g[e] = BYTES_PER_ROW * e + BYTES_PER_NNZ * cum_nnz[e]`` (strictly
     # increasing), a group [s, e) fits exactly when the estimate
     # ``(HEADER + g[e] - g[s]) * compression`` stays within the limit, i.e.
@@ -244,11 +274,6 @@ def chunk_rows(
     # estimate still fits.  Every group is therefore a searchsorted call
     # instead of a per-row Python iteration, and the boundaries (including
     # the at-least-one-row rule for oversized rows) are bit-identical.
-    count = len(global_rows)
-    cum_nnz = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(row_nnz, out=cum_nnz[1:])
-    g = _BYTES_PER_ROW * np.arange(count + 1, dtype=np.int64) + _BYTES_PER_NNZ * cum_nnz
-
     def fits(extra_bytes: int) -> bool:
         return (_HEADER.size + float(extra_bytes)) * _ASSUMED_COMPRESSION <= max_chunk_bytes
 
@@ -258,6 +283,12 @@ def chunk_rows(
     while fits(budget + 1):
         budget += 1
 
+    if _BYTES_PER_ROW * count + _BYTES_PER_NNZ * int(cum_nnz[count]) <= budget:
+        # g[count] - g[0] fits: the search below would return one group.
+        encode_group(0, count)
+        return chunks
+    g = _BYTES_PER_ROW * np.arange(count + 1, dtype=np.int64)
+    g += _BYTES_PER_NNZ * cum_nnz.astype(np.int64)
     start = 0
     while start < count:
         stop = int(np.searchsorted(g, g[start] + budget, side="right")) - 1

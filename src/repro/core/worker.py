@@ -31,13 +31,11 @@ from ..comm import CommChannel, ThreadPool, decode_row_payload
 from ..partitioning import PartitionPlan
 from ..sparse import (
     accumulate_spmm,
-    add_bias_to_nonzero_structure,
+    bias_relu_threshold,
     csr_nbytes,
     expand_rows,
     flop_count_spmm,
     gather_rows,
-    positions_in_sorted,
-    relu_threshold,
 )
 from .metrics import LayerMetrics, WorkerMetrics
 
@@ -111,6 +109,9 @@ class FSIWorker:
         # overhead (Python + numeric libraries) configured for the deployment.
         self.weight_blocks: List[sparse.csr_matrix] = []
         self.x_local: Optional[sparse.csr_matrix] = None
+        #: ``np.diff(x_local.indptr)``: one vector per layer serves the send
+        #: phase's gathers and the local product's flop count.
+        self._x_row_nnz: Optional[np.ndarray] = None
         self._z: Optional[sparse.csr_matrix] = None
         self._static_memory_bytes = float(memory_overhead_bytes)
 
@@ -153,8 +154,7 @@ class FSIWorker:
             raise ValueError(
                 f"staged input block for worker {self.worker_id} does not match the plan"
             )
-        self.x_local = block
-        self._account_dynamic_memory()
+        self._set_activations(block)
         self.metrics.input_load_seconds = clock.now - start
 
     # -- per-layer phases ------------------------------------------------------------------
@@ -167,12 +167,15 @@ class FSIWorker:
         start = clock.now
         pool = ThreadPool(clock, self.io_threads)
         send_map = self.plan.send_map(layer, self.worker_id)
+        positions = self.plan.send_positions(layer, self.worker_id)
         publish_calls_before = self.channel.stats.publish_calls
         put_calls_before = self.channel.stats.put_calls
 
         for target in sorted(send_map):
             rows = send_map[target]
-            extracted = self._extract_rows(rows)
+            # x_local stores the owned rows in ascending order, which is the
+            # order the plan's positions index.
+            extracted = gather_rows(self.x_local, positions[target], self._x_row_nnz)
             result = self.channel.send(layer, self.worker_id, target, rows, extracted, pool)
             layer_metrics.merge_counts(
                 rows_sent=len(rows),
@@ -204,7 +207,7 @@ class FSIWorker:
         if self.x_local is None:
             raise RuntimeError("worker input was never loaded")
         kernels = self.plan.layer_kernels(layer, self.worker_id)
-        flops = flop_count_spmm(kernels.local, self.x_local)
+        flops = flop_count_spmm(kernels.local, self.x_local, self._x_row_nnz)
         self._z = accumulate_spmm(None, kernels.local, self.x_local)
         duration = self.invocation.charge_compute(flops)
         self.metrics.compute_seconds += duration
@@ -278,16 +281,14 @@ class FSIWorker:
         """Line 18 of Algorithm 1 / line 24 of Algorithm 2: bias + activation."""
         if self._z is None:
             raise RuntimeError("finalize_layer called before local_compute")
-        biased = add_bias_to_nonzero_structure(self._z, self.biases[layer])
-        activated = relu_threshold(biased, self.activation_cap)
+        activated = bias_relu_threshold(self._z, self.biases[layer], self.activation_cap)
         # The activation pass touches each stored entry twice (bias add, clamp).
         duration = self.invocation.charge_compute(2.0 * self._z.nnz)
         self.metrics.compute_seconds += duration
         layer_metrics.compute_seconds += duration
         layer_metrics.activation_nnz += int(activated.nnz)
-        self.x_local = activated
         self._z = None
-        self._account_dynamic_memory()
+        self._set_activations(activated)
         self.invocation.check_timeout()
 
     # -- end of batch ------------------------------------------------------------------------
@@ -306,13 +307,11 @@ class FSIWorker:
 
     # -- helpers ---------------------------------------------------------------------------------
 
-    def _extract_rows(self, global_rows: Sequence[int]) -> sparse.csr_matrix:
-        if self.x_local is None:
-            raise RuntimeError("worker input was never loaded")
-        # owned_rows is ascending with x_local stored in the same order, so
-        # sorted positions are storage positions directly.
-        positions = positions_in_sorted(self.owned_rows, global_rows)
-        return gather_rows(self.x_local, positions)
+    def _set_activations(self, block: sparse.csr_matrix) -> None:
+        """Install ``block`` as ``x_local`` with its per-row stored counts."""
+        self.x_local = block
+        self._x_row_nnz = np.diff(block.indptr)
+        self._account_dynamic_memory()
 
     def _account_dynamic_memory(self) -> None:
         dynamic = 0.0

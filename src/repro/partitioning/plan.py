@@ -26,7 +26,7 @@ import numpy as np
 from scipy import sparse
 
 from ..model import SparseDNN
-from ..sparse import RowBlock, as_csr, csr_nbytes
+from ..sparse import RowBlock, as_csr, csr_nbytes, positions_in_sorted
 
 __all__ = ["LayerCommMaps", "LayerKernels", "PartitionPlan", "build_partition_plan"]
 
@@ -88,6 +88,9 @@ class PartitionPlan:
     _kernel_cache: Dict[tuple, LayerKernels] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _send_positions_cache: Dict[tuple, Dict[int, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     #: encoded staging payloads, filled by the engine; keyed by
     #: (staged model name, compress).  Tied to the plan object so distinct
     #: plans can never serve each other's payloads.
@@ -134,6 +137,25 @@ class PartitionPlan:
             )
             self._kernel_cache[key] = kernels
         return kernels
+
+    def send_positions(self, layer: int, worker: int) -> Dict[int, np.ndarray]:
+        """Where each target's send-map rows sit among ``worker``'s own rows (cached).
+
+        ``send_positions(k, m)[n][i]`` is the position of global row
+        ``send_map(k, m)[n][i]`` in ``worker_rows(m)``, i.e. its storage row
+        in the worker's activation block.  Static per plan, so the send phase
+        gathers by position instead of searching the owned rows per query.
+        """
+        key = (layer, worker)
+        positions = self._send_positions_cache.get(key)
+        if positions is None:
+            owned = self.worker_rows(worker)
+            positions = {
+                target: positions_in_sorted(owned, rows).astype(np.int32)
+                for target, rows in self.send_map(layer, worker).items()
+            }
+            self._send_positions_cache[key] = positions
+        return positions
 
     def worker_weight_nnz(self, worker: int) -> int:
         return int(sum(self.weight_blocks[k][worker].nnz for k in range(self.num_layers)))

@@ -16,6 +16,7 @@ from .ops import (
     accumulate_spmm,
     activation_nnz,
     add_bias_to_nonzero_structure,
+    bias_relu_threshold,
     flop_count_spmm,
     relu_threshold,
     sparsify,
@@ -36,6 +37,7 @@ __all__ = [
     "accumulate_spmm",
     "activation_nnz",
     "add_bias_to_nonzero_structure",
+    "bias_relu_threshold",
     "flop_count_spmm",
     "relu_threshold",
     "sparsify",

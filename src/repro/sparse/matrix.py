@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_row_index
 
 __all__ = [
     "RowBlock",
@@ -32,6 +33,10 @@ __all__ = [
     "positions_in_sorted",
     "unsafe_csr",
 ]
+
+
+#: scipy's default ``maxprint`` (``scipy.sparse._base.MAXPRINT``).
+_MAXPRINT = 50
 
 
 def positions_in_sorted(sorted_values: np.ndarray, queries: Sequence[int]) -> np.ndarray:
@@ -92,7 +97,9 @@ def unsafe_csr(
     time validating and canonicalising them than the kernels spend computing.
     Falls back to the validating constructor if the internal layout of scipy
     ever changes.  Callers must guarantee consistency (``len(indptr) ==
-    shape[0] + 1``, ``indptr[-1] == len(data) == len(indices)``).
+    shape[0] + 1``, ``indptr[-1] == len(data) == len(indices)``) and pass the
+    index dtype scipy would have chosen (``int32`` whenever contents fit):
+    nothing is cast here.
     """
     try:
         matrix = sparse.csr_matrix.__new__(sparse.csr_matrix)
@@ -100,36 +107,42 @@ def unsafe_csr(
         matrix.indices = indices
         matrix.indptr = indptr
         matrix._shape = shape
+        matrix.maxprint = _MAXPRINT  # read by ``str()``; set by the constructor
         return matrix
     except AttributeError:
         return sparse.csr_matrix((data, indices, indptr), shape=shape)
 
 
-def gather_rows(matrix: sparse.csr_matrix, positions: np.ndarray) -> sparse.csr_matrix:
-    """Extract ``matrix[positions, :]`` with a vectorized nonzero gather.
+def gather_rows(
+    matrix: sparse.csr_matrix,
+    positions: np.ndarray,
+    row_nnz: Optional[np.ndarray] = None,
+) -> sparse.csr_matrix:
+    """Extract ``matrix[positions, :]`` through scipy's ``csr_row_index`` kernel.
 
     Equivalent to scipy's fancy row indexing (row order preserved, values
-    bit-identical) but without the index-validation and canonicalisation
-    overhead, which dominates for the small extractions of the send phase.
+    bit-identical, the source's index dtype) but without the index-validation
+    and canonicalisation overhead, which dominates for the small extractions
+    of the send phase.  ``row_nnz`` is ``np.diff(matrix.indptr)`` for callers
+    that gather from the same matrix more than once.
     """
     matrix = as_csr(matrix)
-    positions = np.asarray(positions, dtype=np.int64)
-    source_starts = matrix.indptr[positions].astype(np.int64, copy=False)
-    counts = matrix.indptr[positions + 1].astype(np.int64, copy=False) - source_starts
-    indptr = np.zeros(len(positions) + 1, dtype=np.int64)
+    index_dtype = matrix.indices.dtype
+    positions = np.asarray(positions, dtype=index_dtype)
+    source_indptr = np.asarray(matrix.indptr, dtype=index_dtype)
+    if row_nnz is None:
+        counts = source_indptr[positions + 1] - source_indptr[positions]
+    else:
+        counts = row_nnz[positions]
+    indptr = np.zeros(len(positions) + 1, dtype=index_dtype)
     np.cumsum(counts, out=indptr[1:])
     total = int(indptr[-1])
-    source = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(indptr[:-1], counts)
-        + np.repeat(source_starts, counts)
+    indices = np.empty(total, dtype=index_dtype)
+    data = np.empty(total, dtype=matrix.data.dtype)
+    csr_row_index(
+        len(positions), positions, source_indptr, matrix.indices, matrix.data, indices, data
     )
-    return unsafe_csr(
-        matrix.data[source],
-        matrix.indices[source],
-        indptr,
-        (len(positions), matrix.shape[1]),
-    )
+    return unsafe_csr(data, indices, indptr, (len(positions), matrix.shape[1]))
 
 
 @dataclass

@@ -85,6 +85,18 @@ class TestPartitionPlan:
                 for rows in small_plan.send_map(layer, source).values():
                     assert set(rows.tolist()) <= owned
 
+    def test_send_positions_index_the_senders_own_rows(self, small_plan):
+        for layer in range(small_plan.num_layers):
+            for source in range(small_plan.num_workers):
+                owned = small_plan.worker_rows(source)
+                send_map = small_plan.send_map(layer, source)
+                positions = small_plan.send_positions(layer, source)
+                assert positions is small_plan.send_positions(layer, source)  # cached
+                assert sorted(positions) == sorted(send_map)
+                for target, rows in send_map.items():
+                    assert positions[target].dtype == np.int32
+                    np.testing.assert_array_equal(owned[positions[target]], rows)
+
     def test_recv_rows_cover_required_columns(self, small_model, small_plan):
         """A worker receives exactly the remote columns its weight rows reference."""
         layer = 0

@@ -1,5 +1,7 @@
 """Tests for payload encoding, compression and message chunking."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from repro.comm import chunk_rows, decode_row_payload, encode_row_payload, estimate_payload_bytes
+from repro.comm import payload as payload_module
 
 
 def random_rows(num_rows, cols, density, seed):
@@ -48,6 +51,66 @@ class TestEncodeDecode:
             decode_row_payload(b"")
         with pytest.raises(ValueError):
             decode_row_payload(b"Qnonsense")
+
+    def test_hostile_payloads_fail_typed(self):
+        """No validating constructor behind the decoder: its own checks must hold."""
+        rows, matrix = random_rows(6, 9, 0.5, 7)
+        raw = encode_row_payload(rows, matrix, compress=False)[1:]
+        compressed = encode_row_payload(rows, matrix, compress=True)
+        header = struct.Struct("<4sIIQ")
+        magic, n_rows, n_cols, nnz = header.unpack_from(raw, 0)
+        assert (magic, n_rows, n_cols, nnz) == (b"FSDP", 6, 9, matrix.nnz) and nnz > 0
+        indptr_at = header.size + 8 * n_rows
+
+        def with_indptr(position, value):
+            at = indptr_at + 8 * position
+            return b"R" + raw[:at] + struct.pack("<q", value) + raw[at + 8 :]
+
+        hostile = {
+            "marker": b"X" + raw,
+            "magic": b"R" + b"NOPE" + raw[4:],
+            "header": b"R" + raw[: header.size - 1],
+            "too short": b"R" + raw[:-1],
+            "too short for its header's n_rows": b"R" + header.pack(magic, n_rows + 1, n_cols, nnz)
+            + raw[header.size :],
+            "too short for its header's n_rows=6, nnz": b"R"
+            + header.pack(magic, n_rows, n_cols, nnz + 1)
+            + raw[header.size :],
+            "zlib": compressed[: len(compressed) // 2],
+            "nnz": b"R" + header.pack(magic, n_rows, n_cols, nnz - 1) + raw[header.size :],
+            "indptr ends": with_indptr(n_rows, nnz - 1),
+            "indptr starts": with_indptr(0, 1),
+        }
+        for field, payload in hostile.items():
+            with pytest.raises(ValueError, match=field):
+                decode_row_payload(payload)
+
+    def test_decoded_block_layout(self):
+        """What scipy's constructor used to hand the hot path: int32 indices, views of the bytes."""
+        rows, matrix = random_rows(8, 16, 0.4, 8)
+        for compress in (True, False):
+            _, decoded = decode_row_payload(encode_row_payload(rows, matrix, compress))
+            reference = sparse.csr_matrix(
+                (matrix.data.astype(np.float64), matrix.indices, matrix.indptr.astype(np.int64)),
+                shape=matrix.shape,
+            )
+            for name in ("data", "indices", "indptr"):
+                assert getattr(decoded, name).dtype == getattr(reference, name).dtype
+                assert getattr(decoded, name).tobytes() == getattr(reference, name).tobytes()
+            assert not decoded.data.flags.writeable and not decoded.indices.flags.writeable
+            assert (decoded @ decoded.T).shape == (8, 8)
+
+    def test_both_zlib_directions_share_one_budget(self):
+        memo = payload_module._ZlibMemo(max_bytes=64)
+        memo.put(b"a", b"x" * 40)
+        memo.put(b"b", b"y" * 40)  # over budget: the older entry goes
+        assert memo.get(b"a") is None and memo.get(b"b") == b"y" * 40
+        rows, matrix = random_rows(5, 7, 0.5, 9)
+        body = encode_row_payload(rows, matrix)[1:]
+        digest = payload_module._ZlibMemo.digest
+        # Deflating primes the inverse transform in the same store.
+        raw = payload_module._ZLIB_MEMO.get(digest(body))
+        assert raw is not None and payload_module._ZLIB_MEMO.get(digest(raw)) == body
 
     def test_compression_helps_on_redundant_data(self):
         rows = np.arange(50)

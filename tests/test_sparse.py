@@ -8,17 +8,21 @@ from scipy import sparse
 
 from repro.sparse import (
     RowBlock,
+    accumulate_spmm,
     as_csr,
+    bias_relu_threshold,
     csr_nbytes,
     empty_csr,
     expand_rows,
     flop_count_spmm,
+    gather_rows,
     relu_threshold,
     rows_with_nonzeros,
     add_bias_to_nonzero_structure,
     sparsify,
     split_rows,
     spmm,
+    unsafe_csr,
 )
 
 
@@ -234,3 +238,162 @@ def test_relu_threshold_invariants(rows, cols, bias, seed):
     if result.nnz:
         assert result.data.min() > 0.0
         assert result.data.max() <= 32.0
+
+
+# ----------------------------- raw-CSR kernels vs the scipy operators -----------------------------
+
+# Few distinct values, so sums cancel exactly and biases land on exact zeros.
+_VALUES = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+def _small_valued_csr(rows, cols, density, rng):
+    """Random CSR over ``_VALUES``, explicit zeros included."""
+    matrix = sparse.random(rows, cols, density=density, format="csr", random_state=rng)
+    matrix.data = rng.choice(_VALUES, size=matrix.nnz)
+    return matrix
+
+
+def _int64_indexed(matrix):
+    """The same matrix carrying ``int64`` index arrays (what ``gather_rows`` callers may hold)."""
+    return unsafe_csr(
+        matrix.data, matrix.indices.astype(np.int64), matrix.indptr.astype(np.int64), matrix.shape
+    )
+
+
+@st.composite
+def accumulation_cases(draw):
+    """(weights, blocks, which of them reach the raw kernels ``int64``-indexed)."""
+    rows = draw(st.integers(min_value=0, max_value=12))
+    inner = draw(st.integers(min_value=1, max_value=10))
+    cols = draw(st.integers(min_value=1, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=10_000)))
+    density = st.sampled_from([0.0, 0.1, 0.4, 0.9])
+    weights = _small_valued_csr(rows, inner, draw(density), rng)
+    blocks = [
+        _small_valued_csr(inner, cols, draw(density), rng)
+        for _ in range(draw(st.integers(min_value=1, max_value=4)))
+    ]
+    if draw(st.booleans()):
+        # Fold the first block in twice with opposite signs: the running sum
+        # passes through exact cancellation (an all-zero accumulator).
+        blocks.insert(1, -blocks[0])
+    wide = [draw(st.booleans()) for _ in range(len(blocks) + 1)]
+    return weights, blocks, wide
+
+
+def assert_csr_bitwise(actual, expected):
+    """Same layout as well as the same values: dtypes, order, -0.0 vs 0.0, bytes."""
+    assert actual.shape == expected.shape
+    for name in ("data", "indices", "indptr"):
+        left, right = getattr(actual, name), getattr(expected, name)
+        assert left.dtype == right.dtype, name
+        assert left.tobytes() == right.tobytes(), name
+    assert csr_nbytes(actual) == csr_nbytes(expected)
+    assert actual.nnz == expected.nnz
+
+
+@given(accumulation_cases(), st.sampled_from([-1.0, -0.5, 0.0, 0.5]), st.sampled_from([1.5, 32.0, None]))
+@settings(max_examples=150, deadline=None)
+def test_raw_kernels_match_scipy_operators_bitwise(case, bias, cap):
+    """accumulate_spmm / bias_relu_threshold == ``z + W @ x`` / bias, ReLU, cap.
+
+    The reference runs the scipy operators on ``int32``-indexed operands (what
+    the validating constructor hands the hot path); the raw kernels get some
+    of them ``int64``-indexed and must still return the ``int32`` layout.
+    (On ``int64`` operands the operators themselves are not a usable oracle:
+    the dtype they return then depends on uninitialised buffer tails.)
+    """
+    weights, blocks, wide = case
+    raw_weights = _int64_indexed(weights) if wide[0] else weights
+    raw, reference = None, None
+    for block, widen in zip(blocks, wide[1:]):
+        raw = accumulate_spmm(raw, raw_weights, _int64_indexed(block) if widen else block)
+        product = weights @ block
+        reference = product if reference is None else reference + product
+        assert_csr_bitwise(raw, reference)
+    before = raw.data.tobytes(), raw.indices.tobytes(), raw.indptr.tobytes()
+    expected = relu_threshold(add_bias_to_nonzero_structure(reference, bias), cap)
+    assert_csr_bitwise(bias_relu_threshold(raw, bias, cap), expected)
+    assert_csr_bitwise(bias_relu_threshold(_int64_indexed(raw), bias, cap), expected)
+    assert (raw.data.tobytes(), raw.indices.tobytes(), raw.indptr.tobytes()) == before
+
+
+def test_raw_kernels_all_zero_product_is_an_int32_empty_matrix():
+    product = accumulate_spmm(None, empty_csr((5, 4)), random_csr(4, 3, 0.5, 1).astype(np.float64))
+    assert_csr_bitwise(product, empty_csr((5, 4)) @ empty_csr((4, 3)))
+    assert product.indptr.dtype == np.int32 and product.indptr.tolist() == [0] * 6
+
+
+def test_raw_kernels_defer_uncovered_operands_to_scipy():
+    weights = random_csr(6, 5, 0.5, 2)  # float32 data: not covered
+    block = random_csr(5, 3, 0.5, 3)
+    assert_csr_bitwise(accumulate_spmm(None, weights, block), weights @ block)
+    accumulator = (weights @ block).astype(np.float64)
+    assert_csr_bitwise(
+        accumulate_spmm(accumulator, weights, block), accumulator + weights @ block
+    )
+    assert_csr_bitwise(
+        bias_relu_threshold(weights, -0.25, 32.0),
+        relu_threshold(add_bias_to_nonzero_structure(weights, -0.25), 32.0),
+    )
+    with pytest.raises(ValueError):
+        accumulate_spmm(None, weights.astype(np.float64), weights.astype(np.float64))
+
+
+def test_raw_kernels_never_write_to_read_only_operands():
+    """Decoded blocks are views of the payload bytes; kernels must only read them."""
+    source = random_csr(6, 6, 0.6, 4).astype(np.float64)
+    frozen = unsafe_csr(
+        np.frombuffer(source.data.tobytes(), dtype=np.float64),
+        np.frombuffer(source.indices.tobytes(), dtype=np.int32),
+        np.frombuffer(source.indptr.tobytes(), dtype=np.int32),
+        source.shape,
+    )
+    assert not frozen.data.flags.writeable
+    assert_csr_bitwise(accumulate_spmm(frozen, frozen, frozen), source + source @ source)
+    assert_csr_bitwise(
+        bias_relu_threshold(frozen, -0.5, 32.0),
+        relu_threshold(add_bias_to_nonzero_structure(source, -0.5), 32.0),
+    )
+    assert_csr_bitwise(frozen, source)
+
+
+def test_scipy_private_layout_canary():
+    """The one place a scipy upgrade that moves the private API should fail.
+
+    The raw kernels import ``scipy.sparse._sparsetools`` entry points and wrap
+    their outputs with ``unsafe_csr`` (attributes set on a bare instance).
+    If either stops working, this named test says so before a fingerprint does.
+    """
+    from scipy.sparse._sparsetools import (  # noqa: F401
+        csr_eliminate_zeros,
+        csr_matmat,
+        csr_matmat_maxnnz,
+        csr_plus_csr,
+        csr_row_index,
+    )
+
+    left = random_csr(5, 4, 0.6, 5).astype(np.float64)
+    right = random_csr(4, 3, 0.6, 6).astype(np.float64)
+    wrapped = accumulate_spmm(None, left, right)
+    assert type(wrapped) is sparse.csr_matrix
+    dense = left.toarray() @ right.toarray()
+    np.testing.assert_allclose(wrapped.toarray(), dense)
+    np.testing.assert_allclose((wrapped @ right.T.tocsr()).toarray(), dense @ right.toarray().T)
+    np.testing.assert_array_equal((wrapped + wrapped).toarray(), 2.0 * wrapped.toarray())
+    copied = wrapped.copy()
+    assert copied.nnz == wrapped.nnz == np.count_nonzero(dense)
+    assert copied.data is not wrapped.data
+    assert "stored elements" in repr(wrapped) and str(wrapped)
+    rows = gather_rows(wrapped, np.array([4, 0]))
+    np.testing.assert_array_equal(rows.toarray(), wrapped.toarray()[[4, 0]])
+
+
+def test_gather_rows_and_flop_count_accept_precomputed_row_nnz():
+    matrix = random_csr(12, 5, 0.5, 7).astype(np.float64)
+    weights = random_csr(4, 12, 0.4, 8).astype(np.float64)
+    row_nnz = np.diff(matrix.indptr)
+    positions = np.array([7, 0, 3, 3], dtype=np.int32)
+    assert_csr_bitwise(gather_rows(matrix, positions, row_nnz), matrix[positions, :])
+    assert_csr_bitwise(gather_rows(matrix, positions), matrix[positions, :])
+    assert flop_count_spmm(weights, matrix, row_nnz) == flop_count_spmm(weights, matrix)
