@@ -56,12 +56,14 @@ EXCLUDED_DIR_PARTS = frozenset(
     {"__pycache__", ".git", ".pytest_cache", "detlint_fixtures", ".venv"}
 )
 
-#: module suffixes that compute fingerprints (DET004's scope).  The planner
-#: package is covered wholesale by :func:`FileRoles.from_path`.
+#: modules (path suffixes) and whole packages (trailing ``/``) that build
+#: hashed reports -- DET004's scope.
 FINGERPRINT_SUFFIXES = (
     "repro/experiments/campaign.py",
     "repro/serving/replaycore.py",
     "repro/serving/server.py",
+    "repro/concurrency/",
+    "repro/planner/",
 )
 
 
@@ -100,8 +102,9 @@ class FileRoles:
         p = path.replace(os.sep, "/")
         anchored = "/" + p
         in_repro = "/src/repro/" in anchored or p.startswith("repro/")
-        fingerprint = in_repro and (
-            p.endswith(FINGERPRINT_SUFFIXES) or "repro/planner/" in p
+        fingerprint = in_repro and any(
+            suffix in p if suffix.endswith("/") else p.endswith(suffix)
+            for suffix in FINGERPRINT_SUFFIXES
         )
         cloud = in_repro and "repro/cloud/" in p
         return FileRoles(in_repro=in_repro, fingerprint=fingerprint, cloud_service=cloud)

@@ -1,9 +1,10 @@
 """Concurrent-execution engine: interleaved query timelines with contention.
 
-The serialized serving loop (:meth:`repro.serving.InferenceServer._serve_exact`)
-executes each admitted unit to completion before the next admission touches
-the shared timeline, so overlapping queries never contend for queues, topics,
-buckets, or FaaS capacity.  This package closes that gap:
+A serialized serve (:meth:`repro.serving.InferenceServer.run_event_loop` with
+no completion stage) executes each admitted unit to completion before the
+next admission touches the shared timeline, so overlapping queries never
+contend for queues, topics, buckets, or FaaS capacity.  This package closes
+that gap:
 
 * :mod:`repro.concurrency.config` -- :class:`ContentionConfig` (per-class
   channel capacities plus the platform-wide FaaS invocation quota) and
@@ -13,20 +14,21 @@ buckets, or FaaS capacity.  This package closes that gap:
   :class:`FairShareArbiter`: an op overlapping ``k`` peers on a resource of
   capacity ``c < k`` progresses at rate ``c/k``, recomputed at every
   entry/exit boundary.
-* :mod:`repro.concurrency.interleave` -- the discrete-event interleaver that
-  decomposes each admitted unit's replay into timed sub-events and merges all
-  in-flight queries' sub-event streams onto the server heap.
+* :mod:`repro.concurrency.interleave` -- the discrete-event interleaver: a
+  completion stage for the serving kernel that decomposes each admitted
+  unit's replay into timed sub-events and merges all in-flight queries'
+  sub-event streams onto the server heap.
 
 Gating contract (the same rule every opt-in subsystem follows):
 ``ServingConfig(concurrency=None)`` -- the default -- and an enabled engine
 with an unbounded :class:`ContentionConfig` are **byte-identical** to the
-serialized loop: identical records, identical summaries, every historical
+serialized serve: identical records, identical summaries, every historical
 ``BENCH_*.json`` fingerprint unchanged.  Only finite capacities can stretch
 timelines, and only then does the report grow a ``"concurrency"`` key.
 
-:mod:`~repro.concurrency.interleave` is imported lazily by the server (it
-imports serving symbols back); importing this package pulls in configs and
-the arbiter only.
+:mod:`~repro.concurrency.interleave` is imported lazily by the server, so a
+``concurrency=None`` serve never loads it; importing this package pulls in
+configs and the arbiter only.
 """
 
 from .arbiter import FairShareArbiter

@@ -1,14 +1,16 @@
-"""The interleaved serve loop: overlapping queries on one contended timeline.
+"""Interleaved serving: overlapping queries on one contended timeline.
 
 This is the concurrency engine's integration point with the serving layer.
-It mirrors :meth:`repro.serving.InferenceServer._serve_exact` -- same heap,
-same event kinds, same policy hooks, same admission semantics -- but instead
-of finishing each admitted unit at ``now + latency`` unconditionally, it
+It owns no event loop: :func:`interleaved_serve` hands the serving kernel
+(:meth:`repro.serving.InferenceServer.run_event_loop`) a *completion stage*,
+so heap, event kinds, policy hooks and admission semantics are the
+serialized serve's.  Instead of finishing each admitted unit at ``now +
+latency`` unconditionally, the stage
 
-1. runs the unit's *solo* simulation at admission time (billing, warm pools
-   and invocation records are exactly the serialized loop's -- contention
-   stretches the serving-layer timeline, not the substrate's bills; see
-   ROADMAP for this documented approximation),
+1. lets the kernel run the unit's *solo* simulation at admission time
+   (billing, warm pools and invocation records are exactly the serialized
+   serve's -- contention stretches the serving-layer timeline, not the
+   substrate's bills; see ROADMAP for this documented approximation),
 2. collects every channel op and FaaS invocation span the execution touched
    (via the :class:`~repro.cloud.contention.ContentionDomain` mount),
 3. hands the op log to the :class:`~repro.concurrency.FairShareArbiter`,
@@ -27,7 +29,7 @@ so admission validates namespace uniqueness and fails loudly.
 Byte-identity contract: with an unbounded :class:`ContentionConfig` every
 chain finishes at bit-for-bit ``admit + latency`` and all interference is
 exactly ``0.0``, so the records, channel stats, cost report and summary are
-identical to the serialized loop's -- the arbiter's extra heap events change
+identical to the serialized serve's -- the arbiter's extra heap events change
 nothing observable.  Tier-A outcome memoisation is bypassed (like chaos):
 interleaved serves must re-simulate every execution so the op log reflects
 the true warm-pool state.
@@ -35,21 +37,11 @@ the true warm-pool state.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from ..comm import ChannelStats
-from ..serving.server import (
-    _ARRIVAL,
-    _COMPLETION,
-    _POLICY_TICK,
-    QueryRecord,
-    ServingReport,
-    peak_overlap,
-)
 from ..workloads import InferenceQuery, SporadicWorkload
 from .arbiter import FairShareArbiter
+from .config import ContentionConfig
 
 __all__ = ["interleaved_serve"]
 
@@ -81,260 +73,106 @@ class _OpCollector:
             self.ops.append(("faas", start, end))
 
 
-class _Slot:
-    """One admitted unit: its solo outcomes plus its contended chain."""
-
-    __slots__ = ("unit", "outcomes", "group", "admitted_at", "chain", "namespace", "finish")
-
-    def __init__(self, unit, outcomes, group, admitted_at, chain, namespace):
-        self.unit = unit
-        self.outcomes = outcomes
-        self.group = group
-        self.admitted_at = admitted_at
-        self.chain = chain
-        self.namespace = namespace
-        #: set for chain-less (zero-latency) units; chains carry their own.
-        self.finish = admitted_at
-
-    @property
-    def delay(self) -> float:
-        return self.chain.delay if self.chain is not None else 0.0
+#: a completion event for the kernel's heap: ``(time, payload)``.  A payload
+#: is ``(chain, generation)`` for a chain boundary, or ``(None, namespace)``
+#: for a unit with nothing to contend for.
+_Event = Tuple[float, tuple]
 
 
-def interleaved_serve(server, workload: SporadicWorkload) -> ServingReport:
+class _ContendedCompletion:
+    """The kernel's completion stage: slots release when contended chains end."""
+
+    def __init__(self, backend, contention: ContentionConfig):
+        self.backend = backend
+        self.arbiter = FairShareArbiter(contention)
+        #: per admitted unit, in admission order: its chain, or ``None``.
+        self._chains: List[object] = []
+        #: resource namespaces of the units still in flight.
+        self._inflight: Set[str] = set()
+        self._namespace_of: Dict[int, str] = {}  # by chain key
+        #: the op log of the unit executed last, until ``admitted`` claims it.
+        self._collector = _OpCollector("")
+
+    def execute(self, unit: List[InferenceQuery], at_time: float):
+        """Solo-execute ``unit`` on the backend with an op collector mounted."""
+        query_id = unit[0].query_id
+        namespace = f"q{query_id}"
+        if namespace in self._inflight:
+            raise ValueError(
+                f"resource namespace collision: query id {query_id} admitted "
+                f"at t={at_time:.6f} while a query with the same id is "
+                f"still in flight under namespace '{namespace}'; interleaved "
+                f"execution requires unique query ids among concurrently running "
+                f"queries (duplicates would silently share per-query "
+                f"queue/topic/bucket resources)"
+            )
+        self._collector = _OpCollector(namespace)
+        self.backend.install_contention(self._collector)
+        try:
+            return self.backend.execute_batch(unit, at_time=at_time)
+        finally:
+            self.backend.clear_contention()
+
+    def admitted(self, at: float, latency: float) -> List[_Event]:
+        """Start the just-executed unit's chain; returns its heap events."""
+        namespace = self._collector.namespace
+        self._inflight.add(namespace)
+        if not latency > 0.0:
+            # Degenerate zero-latency unit: nothing to contend for.
+            self._chains.append(None)
+            return [(at + latency, (None, namespace))]
+        chain, reschedules = self.arbiter.admit(self._collector.ops, at, latency)
+        self._chains.append(chain)
+        self._namespace_of[chain.key] = namespace
+        return [(when, (peer, generation)) for when, generation, peer in reschedules]
+
+    def on_event(self, payload: tuple, now: float) -> Tuple[bool, Sequence[_Event]]:
+        """Process one completion event: ``(slot released, further events)``."""
+        chain, tag = payload
+        more: Sequence[_Event] = ()
+        if chain is None:
+            namespace = tag
+        else:
+            result = self.arbiter.on_event(chain, tag, now)
+            if result is None:
+                return False, more  # stale: the chain was rescheduled meanwhile
+            finished, reschedules = result
+            more = [(when, (peer, generation)) for when, generation, peer in reschedules]
+            if not finished:
+                return False, more  # internal boundary crossing: no admission change
+            namespace = self._namespace_of.pop(chain.key)
+        self._inflight.remove(namespace)
+        return True, more
+
+    def delays(self) -> List[float]:
+        """Final contention delay of every admitted unit, in admission order.
+
+        With all delays exactly ``0.0`` (unbounded contention) the kernel's
+        ``(admitted_at + latency) + delay`` equals the solo finish bit-for-bit.
+        """
+        return [chain.delay if chain is not None else 0.0 for chain in self._chains]
+
+
+def interleaved_serve(server, workload: SporadicWorkload):
     """Replay ``workload`` with in-flight queries sharing the timeline."""
-    config = server.config
-    backend = server.backend
-    concurrency = config.concurrency
+    concurrency = server.config.concurrency
     assert concurrency is not None
-    contention = concurrency.contention
-    arbiter = FairShareArbiter(contention)
-
-    tracer = None
-    serve_span = None
-    if config.telemetry is not None:
-        tracer = config.telemetry.build_tracer()
-        backend.install_telemetry(tracer)
-        serve_span = tracer.begin_span("serve", track="server", start=0.0, backend=backend.name)
-    backend.begin(workload)
-    policies = config.policies
-    for policy in policies:
-        policy.begin(workload)
-
-    events: List[Tuple[float, int, int, object]] = []
-    seq = 0
-    for query in workload.iter_trace():
-        heapq.heappush(events, (query.arrival_time, _ARRIVAL, seq, query))
-        seq += 1
-
-    pending: Deque[Tuple[InferenceQuery, ...]] = deque()
-    channel_total = ChannelStats()
-    in_flight = 0
-    slots: List[_Slot] = []  # admission order; records materialize from this
-    slot_by_chain: Dict[int, _Slot] = {}
-    inflight_namespaces: Dict[str, int] = {}
-
-    def current_limit() -> Optional[int]:
-        limit = config.max_concurrent_queries
-        for policy in policies:
-            limit = policy.admission_limit(
-                limit, queue_depth=len(pending), in_flight=in_flight
-            )
-        return limit
-
-    def admit(now: float) -> None:
-        nonlocal in_flight, seq
-        while pending:
-            limit = current_limit()
-            if limit is not None and in_flight >= limit:
-                break
-            unit = pending.popleft()
-            leader = unit[0]
-            namespace = f"q{leader.query_id}"
-            if namespace in inflight_namespaces:
-                raise ValueError(
-                    f"resource namespace collision: query id {leader.query_id} admitted "
-                    f"at t={now:.6f} while query id {inflight_namespaces[namespace]} is "
-                    f"still in flight under namespace '{namespace}'; interleaved "
-                    f"execution requires unique query ids among concurrently running "
-                    f"queries (duplicates would silently share per-query "
-                    f"queue/topic/bucket resources)"
-                )
-            collector = _OpCollector(namespace)
-            backend.install_contention(collector)
-            try:
-                outcomes = backend.execute_batch(list(unit), at_time=now)
-            finally:
-                backend.clear_contention()
-            group = tuple(query.query_id for query in unit) if len(unit) > 1 else ()
-            if tracer is not None and len(unit) > 1:
-                tracer.event("coalesced", track="server", t=now, group=list(group))
-            for outcome in outcomes:
-                if outcome.channel_stats is not None:
-                    channel_total.accumulate(outcome.channel_stats)
-            latency = outcomes[0].latency_seconds
-            if latency > 0.0:
-                chain, reschedules = arbiter.admit(collector.ops, now, latency)
-                slot = _Slot(unit, outcomes, group, now, chain, namespace)
-                slot_by_chain[chain.key] = slot
-                for when, generation, rechain in reschedules:
-                    heapq.heappush(events, (when, _COMPLETION, seq, ("chain", rechain, generation)))
-                    seq += 1
-            else:
-                # Degenerate zero-latency unit: nothing to contend for.
-                slot = _Slot(unit, outcomes, group, now, None, namespace)
-                slot.finish = now + latency
-                heapq.heappush(events, (slot.finish, _COMPLETION, seq, ("direct", slot)))
-                seq += 1
-            slots.append(slot)
-            inflight_namespaces[namespace] = leader.query_id
-            in_flight += 1
-
-    while events:
-        now, kind, _, payload = heapq.heappop(events)
-        if kind == _ARRIVAL:
-            query = payload
-            decision = None
-            for policy in policies:
-                decision = policy.on_arrival(query, now)
-                if decision is not None:
-                    break
-            if decision is None:
-                pending.append((query,))
-            elif decision.tick_at is not None:
-                heapq.heappush(events, (decision.tick_at, _POLICY_TICK, seq, None))
-                seq += 1
-        elif kind == _COMPLETION:
-            if payload[0] == "chain":
-                _, chain, generation = payload
-                result = arbiter.on_event(chain, generation, now)
-                if result is None:
-                    continue  # stale: the chain was rescheduled meanwhile
-                finished, reschedules = result
-                for when, new_generation, rechain in reschedules:
-                    heapq.heappush(
-                        events, (when, _COMPLETION, seq, ("chain", rechain, new_generation))
-                    )
-                    seq += 1
-                if not finished:
-                    continue  # internal boundary crossing: no admission change
-                slot = slot_by_chain.pop(chain.key)
-            else:
-                slot = payload[1]
-            del inflight_namespaces[slot.namespace]
-            in_flight -= 1
-            for policy in policies:
-                policy.on_completion(now, in_flight=in_flight, queue_depth=len(pending))
-        else:  # policy tick
-            for policy in policies:
-                for unit in policy.on_tick(now):
-                    if unit:
-                        pending.append(tuple(unit))
-        admit(now)
-        if tracer is not None:
-            tracer.gauge_sample("server.queue_depth", float(len(pending)), now)
-            tracer.gauge_sample("server.in_flight", float(in_flight), now)
-
-    cost = backend.finish()
-
-    # Materialize records in admission order -- the serialized loop's record
-    # order -- now that every chain's final delay is known.  With all delays
-    # exactly 0.0 (unbounded contention) each finished_at equals the solo
-    # ``admitted_at + latency`` bit-for-bit.
-    records: List[QueryRecord] = []
-    delays: List[float] = []
-    for slot in slots:
-        delay = slot.delay
-        for query, outcome in zip(slot.unit, slot.outcomes):
-            solo_finish = slot.admitted_at + outcome.latency_seconds
-            finished_at = solo_finish + delay
-            delays.append(delay)
-            records.append(
-                QueryRecord(
-                    query_id=query.query_id,
-                    neurons=query.neurons,
-                    samples=query.samples,
-                    arrival_time=query.arrival_time,
-                    started_at=slot.admitted_at,
-                    finished_at=finished_at,
-                    cost=outcome.cost,
-                    cold_starts=outcome.cold_starts,
-                    warm_starts=outcome.warm_starts,
-                    coalesced_group=slot.group,
-                    tenant=query.tenant,
-                    interference_seconds=delay,
-                )
-            )
-            if tracer is not None:
-                query_span = tracer.record_span(
-                    "query",
-                    track="queries",
-                    start=query.arrival_time,
-                    end=finished_at,
-                    parent=serve_span,
-                    query_id=query.query_id,
-                    neurons=query.neurons,
-                    samples=query.samples,
-                    outcome="completed",
-                    attempts=1,
-                )
-                tracer.record_span(
-                    "attempt",
-                    track="queries",
-                    start=slot.admitted_at,
-                    end=finished_at,
-                    parent=query_span,
-                    attempt=1,
-                    cold_starts=outcome.cold_starts,
-                    warm_starts=outcome.warm_starts,
-                )
-                if delay > 0.0:
-                    # One span per contended wait: the stretch the arbiter
-                    # added beyond the solo finish.
-                    tracer.record_span(
-                        "contended_wait",
-                        track="queries",
-                        start=solo_finish,
-                        end=finished_at,
-                        parent=query_span,
-                        interference_seconds=delay,
-                    )
-
-    if tracer is not None:
-        serve_end = max((record.finished_at for record in records), default=0.0)
-        tracer.end_span(serve_span, serve_end)
-        backend.clear_telemetry()
-
+    stage = _ContendedCompletion(server.backend, concurrency.contention)
+    report = server.run_event_loop(workload, completion=stage)
     # The "concurrency" summary key is opt-in twice over: only a *bounded*
     # contention config can stretch a timeline, so only a bounded config adds
     # it -- an unbounded interleaved serve is observationally identical to
-    # the serialized loop and must keep its fingerprints byte-for-byte.
-    concurrency_stats: Optional[Dict[str, object]] = None
-    if contention.is_bounded:
-        interfered = sum(1 for delay in delays if delay > 0.0)
-        concurrency_stats = {
+    # the serialized serve and must keep its fingerprints byte-for-byte.
+    if concurrency.contention.is_bounded:
+        delays = [record.interference_seconds for record in report.records]
+        report.concurrency_stats = {
             "config": concurrency.describe(),
-            "interfered_query_count": interfered,
+            "interfered_query_count": sum(1 for delay in delays if delay > 0.0),
             "interference_total_seconds": float(sum(delays)),
             "interference_max_seconds": float(max(delays)) if delays else 0.0,
             "interference_mean_seconds": (
                 float(sum(delays) / len(delays)) if delays else None
             ),
-            "resources": arbiter.resource_summary(),
+            "resources": stage.arbiter.resource_summary(),
         }
-
-    return ServingReport(
-        backend=backend.name,
-        config=config,
-        horizon_seconds=workload.horizon_seconds,
-        records=records,
-        cost=cost,
-        peak_concurrent_queries=peak_overlap(
-            (record.started_at, record.finished_at) for record in records
-        ),
-        peak_concurrent_workers=peak_overlap(backend.worker_intervals()),
-        channel_stats=channel_total,
-        fault_counts={},
-        telemetry=tracer,
-        concurrency_stats=concurrency_stats,
-    )
+    return report

@@ -42,6 +42,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from ..chaos import ChaosConfig
 from ..concurrency import ConcurrencyConfig
 from ..serving import InferenceServer, SchedulingPolicy, ServingBackend, ServingConfig
+from ..serving.server import check_replay_mode
 from ..telemetry import TelemetryConfig
 from ..telemetry.export import write_chrome_trace
 from ..workloads import SporadicWorkload
@@ -408,17 +409,13 @@ class Campaign:
                 "rejects chaos together with concurrency)"
             )
         # Replay-speed knobs, threaded into every cell's ServingConfig.
-        # ``replay_mode`` picks the event core ("exact", "auto"/"columnar"
-        # fast path, or the "fluid" analytic approximation); ``outcome_cache``
+        # ``replay_mode`` picks the event core ("exact", or the
+        # "auto"/"columnar" fast path); ``outcome_cache``
         # memoises whole executions across a cell's repeated (model, batch)
         # fingerprints.  Both default off so historical campaign fingerprints
         # replay unchanged; chaos cells always fall back to the exact loop.
         self.replay_mode = str(replay_mode)
-        if self.replay_mode not in ("exact", "auto", "columnar", "fluid"):
-            raise ValueError(
-                "replay_mode must be one of 'exact', 'auto', 'columnar', 'fluid'; "
-                f"got {self.replay_mode!r}"
-            )
+        check_replay_mode(self.replay_mode)
         self.outcome_cache = bool(outcome_cache)
         # Opt-in telemetry axis: every cell serves with this TelemetryConfig
         # and carries its recorded trace on the CellResult.  ``None`` (the

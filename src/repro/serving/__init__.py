@@ -42,6 +42,7 @@ from .replaycore import (
 )
 from ..concurrency import ConcurrencyConfig, ContentionConfig
 from .server import (
+    REPLAY_MODES,
     InferenceServer,
     QueryRecord,
     ServingConfig,
@@ -77,6 +78,7 @@ __all__ = [
     "peak_overlap_arrays",
     "ConcurrencyConfig",
     "ContentionConfig",
+    "REPLAY_MODES",
     "InferenceServer",
     "QueryRecord",
     "ServingConfig",

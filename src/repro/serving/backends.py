@@ -135,43 +135,53 @@ class QueryOutcome:
     result: Any = None
 
 
+def split_cost_by_samples(total: float, queries: Sequence[InferenceQuery]) -> List[float]:
+    """Split one unit's cost over its queries, proportionally to sample count.
+
+    The last query absorbs the floating-point remainder, so the shares sum
+    exactly to ``total``.
+    """
+    if total == 0.0:
+        return [0.0] * len(queries)
+    total_samples = sum(query.samples for query in queries)
+    shares: List[float] = []
+    remaining = total
+    for index, query in enumerate(queries):
+        if index == len(queries) - 1:
+            share = remaining
+        elif total_samples > 0:
+            share = total * query.samples / total_samples
+        else:
+            # Degenerate all-empty batch: split the fixed charges evenly.
+            share = total / len(queries)
+        remaining -= share
+        shares.append(share)
+    return shares
+
+
 def split_batch_outcome(
     outcome: QueryOutcome, queries: Sequence[InferenceQuery]
 ) -> List[QueryOutcome]:
     """Attribute a merged-batch outcome back onto its constituent queries.
 
     Every query observes the merged latency (the batch finishes as one
-    inference); the cost is split proportionally to each query's sample
-    count with the last query absorbing the floating-point remainder, so the
+    inference); the cost is split by :func:`split_cost_by_samples`, so the
     per-query costs sum exactly to the batch cost.  Cold/warm starts, channel
     stats and the backend-native result describe the single merged execution,
     so they are attributed once -- to the first query -- to keep report
     aggregates equal to what actually happened on the platform.
     """
-    total_samples = sum(query.samples for query in queries)
-    outcomes: List[QueryOutcome] = []
-    remaining_cost = outcome.cost
-    for index, query in enumerate(queries):
-        last = index == len(queries) - 1
-        if last:
-            share = remaining_cost
-        elif total_samples > 0:
-            share = outcome.cost * query.samples / total_samples
-        else:
-            # Degenerate all-empty batch: split the fixed charges evenly.
-            share = outcome.cost / len(queries)
-        remaining_cost -= share
-        outcomes.append(
-            replace(
-                outcome,
-                cost=share,
-                cold_starts=outcome.cold_starts if index == 0 else 0,
-                warm_starts=outcome.warm_starts if index == 0 else 0,
-                channel_stats=outcome.channel_stats if index == 0 else None,
-                result=outcome.result if index == 0 else None,
-            )
+    return [
+        replace(
+            outcome,
+            cost=share,
+            cold_starts=outcome.cold_starts if index == 0 else 0,
+            warm_starts=outcome.warm_starts if index == 0 else 0,
+            channel_stats=outcome.channel_stats if index == 0 else None,
+            result=outcome.result if index == 0 else None,
         )
-    return outcomes
+        for index, share in enumerate(split_cost_by_samples(outcome.cost, queries))
+    ]
 
 
 class ServingBackend(ABC):

@@ -1,8 +1,8 @@
-"""The vectorized replay core: three tiers of fast path behind ``serve()``.
+"""The vectorized replay core: two tiers of fast path behind ``serve()``.
 
 Replaying a day of sporadic traffic is dominated by re-simulating the same
 handful of ``(model size, batch)`` combinations thousands of times.  This
-module collapses that cost in three tiers, all behind the unchanged
+module collapses that cost in two tiers, both behind the unchanged
 :meth:`~repro.serving.server.InferenceServer.serve` surface:
 
 **Tier A -- whole-execution outcome memoisation** (:class:`ReplayOutcomeCache`,
@@ -30,23 +30,17 @@ produced with it off.  What *is* bit-exact -- and locked by tests -- is the
 equivalence of the tiers below against the exact event loop **under the same
 cache setting**.
 
-**Tier B -- columnar event core** (:func:`columnar_serve`).  When no
-policies, no chaos and no admission bound are configured, the heap/deque
-event loop degenerates to "execute in arrival order"; this tier replaces it
-with numpy arrival columns, a flat execution loop and array aggregation
-(:func:`peak_overlap_arrays`, chunked exact cost folds), producing a
+**Tier B -- columnar event core** (:func:`columnar_serve`), a specialisation
+of the event-loop kernel for immediate admission that shares its hook mounts
+and its span emitter.  When no policies, no chaos and no admission bound are
+configured, the heap/deque event loop degenerates to "execute in arrival
+order"; this tier replaces it with numpy arrival columns, a flat execution
+loop and array aggregation (:func:`peak_overlap_arrays`, chunked exact cost
+folds), producing a
 :class:`~repro.serving.server.ServingReport` whose ``summary()`` is
 bit-identical to the exact loop's.  Per-query :class:`QueryRecord` objects
 materialise lazily (:class:`LazyRecordList`) so million-query replays never
 build a million dataclasses unless someone iterates them.
-
-**Tier C -- fluid mode** (:func:`fluid_serve`, opt-in via
-``ServingConfig(replay_mode="fluid")``).  For campaign cells that only need
-aggregates: a few real probe executions per key establish cold and warm
-templates, arrival gaps classify the remaining queries against the pool
-keepalive, and everything else is synthesized analytically.  Summaries are
-tagged ``"replay_mode": "fluid"`` so an approximate fingerprint can never be
-mistaken for an exact one.
 
 Chaos is the hard boundary: fault injection is time-positional, so a
 chaos-configured serve never activates the cache and always runs the exact
@@ -76,16 +70,12 @@ __all__ = [
     "LazyRecordList",
     "peak_overlap_arrays",
     "columnar_serve",
-    "fluid_serve",
 ]
 
 #: stable field order of :class:`ChannelStats` (all-integer counters), used
 #: to vectorize accumulation: ``sum of vecs`` is exactly ``accumulate`` folds.
 # detlint: allow[DET004] dataclass field order is declaration order, deterministic across runs
 CHANNEL_FIELDS: Tuple[str, ...] = tuple(vars(ChannelStats()).keys())
-
-#: how many real executions fluid mode spends per key before synthesizing.
-_FLUID_PROBE_LIMIT = 6
 
 
 def batch_fingerprint(batch: sparse.spmatrix) -> bytes:
@@ -368,9 +358,6 @@ class ReplayOutcomeCache:
             digest = batch_fingerprint(batch)
             self._digests[key] = digest
         return digest
-
-    def entries_for(self, key: Tuple) -> Sequence[OutcomeEntry]:
-        return tuple(self._entries.get(key, ()))
 
     # -- replay ---------------------------------------------------------------
 
@@ -796,9 +783,10 @@ def columnar_serve(server, workload):
 
     Only valid when the event loop degenerates to immediate admission (no
     policies, no chaos, unbounded concurrency) -- the caller checks that.
-    Returns ``None`` to signal "use the exact loop" for degenerate inputs.
+    Returns ``None`` to signal "use the event-loop kernel" for degenerate
+    inputs.
     """
-    from .server import ServingReport
+    from .server import ServingReport, record_query_spans, serve_mounts
 
     backend = server.backend
     config = server.config
@@ -816,85 +804,50 @@ def columnar_serve(server, workload):
     if not any(tenant is not None for tenant in tenants):
         tenants = None
 
-    # Telemetry mounts exactly as in the exact loop -- tracer installed
-    # before begin(), serve root span at t=0 -- and the per-query emission
-    # below mirrors ``admit()``'s, so both paths produce the same span set
-    # with the same sequential ids (pinned by tests/test_telemetry.py).
-    tracer = None
-    serve_span = None
-    if config.telemetry is not None:
-        tracer = config.telemetry.build_tracer()
-        backend.install_telemetry(tracer)
-        serve_span = tracer.begin_span(
-            "serve", track="server", start=0.0, backend=backend.name
-        )
-
-    cloud = getattr(backend, "cloud", None)
-    pre_begin = cloud.billing_checkpoint() if cloud is not None else None
-    backend.begin(workload)
-    sink: Optional[ColumnarSink] = None
-    if use_cache:
-        backend.set_outcome_caching(True)
-        sink = ColumnarSink()
-        backend._cache_sink = sink
-        if cloud is not None:
-            # Standing bills placed by begin() (e.g. an always-on fleet) are
-            # part of the serve-scoped cost fold.
-            sink.add_ledger_slice(cloud.ledger._records, pre_begin)
-
     arrival_list = arrival.tolist()
     costs: List[float] = []
     finishes: List[float] = []
     colds: List[int] = []
     warms: List[int] = []
     channel_total = ChannelStats()
-    try:
+    cloud = getattr(backend, "cloud", None)
+    # The kernel's mounts and the kernel's span emitter, called at the same
+    # point of each query's execution: both paths record the same span set
+    # with the same sequential ids (pinned by tests/test_telemetry.py).
+    mounts = serve_mounts(backend, config, workload.horizon_seconds, use_cache)
+    with mounts as (_, tracer, serve_span):
+        pre_begin = cloud.billing_checkpoint() if cloud is not None else None
+        backend.begin(workload)
+        sink: Optional[ColumnarSink] = None
+        if use_cache:
+            sink = ColumnarSink()
+            backend._cache_sink = sink
+            if cloud is not None:
+                # Standing bills placed by begin() (e.g. an always-on fleet)
+                # are part of the serve-scoped cost fold.
+                sink.add_ledger_slice(cloud.ledger._records, pre_begin)
         for i in range(n):
             query = queries[order_list[i]]
             at_time = arrival_list[i]
             outcome = backend.execute(query, at_time=at_time)
+            finish = at_time + outcome.latency_seconds
             costs.append(outcome.cost)
-            finishes.append(at_time + outcome.latency_seconds)
+            finishes.append(finish)
             colds.append(outcome.cold_starts)
             warms.append(outcome.warm_starts)
             if sink is None and outcome.channel_stats is not None:
                 channel_total.accumulate(outcome.channel_stats)
             if tracer is not None:
-                query_span = tracer.record_span(
-                    "query",
-                    track="queries",
-                    start=at_time,
-                    end=at_time + outcome.latency_seconds,
-                    parent=serve_span,
-                    query_id=query.query_id,
-                    neurons=query.neurons,
-                    samples=query.samples,
-                    outcome="completed",
-                    attempts=1,
-                )
-                tracer.record_span(
-                    "attempt",
-                    track="queries",
-                    start=at_time,
-                    end=at_time + outcome.latency_seconds,
-                    parent=query_span,
-                    attempt=1,
-                    cold_starts=outcome.cold_starts,
-                    warm_starts=outcome.warm_starts,
-                )
+                record_query_spans(tracer, serve_span, query, at_time, finish, outcome)
         finish_report = backend.finish()
         cost_report = sink.cost_report() if sink is not None else finish_report
         peak_workers = _worker_peak(backend, sink)
         stats = sink.channel_stats() if sink is not None else channel_total
-    finally:
-        if use_cache:
-            backend.set_outcome_caching(False)
 
     finished = np.asarray(finishes, dtype=np.float64)
     if tracer is not None:
-        # Same float op as the exact loop's serve end: max over finished_at.
-        tracer.end_span(serve_span, float(finished.max()) if finished.size else 0.0)
-        backend.clear_telemetry()
+        # Same float op as the kernel's serve end: max over finished_at.
+        tracer.end_span(serve_span, float(finished.max()))
     columns = ReportColumns(
         query_id=query_id,
         neurons=neurons,
@@ -920,199 +873,4 @@ def columnar_serve(server, workload):
         columns=columns,
         replay_mode="columnar",
         telemetry=tracer,
-    )
-
-
-def fluid_serve(server, workload):
-    """Tier-C analytic mode: probe each key, synthesize the rest.
-
-    A few real executions per ``(neurons, samples)`` key establish cold and
-    warm outcome templates; the remaining queries are classified by their
-    idle gap against the warm-pool keepalive and synthesized from the
-    matching template without touching the platform.  Aggregates are
-    approximate by construction and the report is tagged
-    ``replay_mode="fluid"``.  Returns ``None`` when the backend cannot
-    memoise (fall back to the exact loop).
-    """
-    from .server import ServingReport
-
-    backend = server.backend
-    config = server.config
-    if not getattr(backend, "supports_outcome_cache", False):
-        return None
-    queries = list(workload.queries)
-    n = len(queries)
-    if n == 0:
-        return None
-
-    order, query_id, arrival, neurons, samples = _trace_columns(queries)
-    order_list = order.tolist()
-    tenants: Optional[List[Optional[str]]] = [queries[i].tenant for i in order_list]
-    if not any(tenant is not None for tenant in tenants):
-        tenants = None
-
-    cloud = getattr(backend, "cloud", None)
-    pre_begin = cloud.billing_checkpoint() if cloud is not None else None
-    backend.begin(workload)
-    backend.set_outcome_caching(True)
-    sink = ColumnarSink()
-    backend._cache_sink = sink
-    if cloud is not None:
-        sink.add_ledger_slice(cloud.ledger._records, pre_begin)
-    cache = backend.outcome_cache
-    faas = backend._cache_faas()
-    keepalive = faas.warm_keepalive_seconds if faas is not None else None
-
-    # Classify each query cold/warm analytically: the first arrival of a key
-    # is cold; later arrivals are cold when the idle gap since the key's
-    # previous arrival exceeds the keepalive (fluid ignores cross-key pool
-    # sharing -- that is part of the approximation).
-    packed = neurons * np.int64(1 << 32) + samples
-    _, inverse = np.unique(packed, return_inverse=True)
-    expect_cold = np.zeros(n, dtype=bool)
-    for group in range(int(inverse.max()) + 1):
-        members = np.flatnonzero(inverse == group)
-        expect_cold[members[0]] = True
-        if keepalive is not None and members.size > 1:
-            gaps = np.diff(arrival[members])
-            expect_cold[members[1 :][gaps > keepalive]] = True
-
-    arrival_list = arrival.tolist()
-    inverse_list = inverse.tolist()
-    expect_cold_list = expect_cold.tolist()
-    costs: List[float] = []
-    finishes: List[float] = []
-    colds: List[int] = []
-    warms: List[int] = []
-    #: per key group: probe count, cold/warm templates, resolved cache key
-    state: Dict[int, Dict[str, Any]] = {}
-    #: id(entry) -> [entry, synth count, synth at_times]
-    synth: Dict[int, List] = {}
-    try:
-        for i in range(n):
-            query = queries[order_list[i]]
-            at_time = arrival_list[i]
-            group = inverse_list[i]
-            group_state = state.get(group)
-            if group_state is None:
-                batch = backend.factory.batch_for(query)
-                group_state = state[group] = {
-                    "probes": 0,
-                    "cold": None,
-                    "warm": None,
-                    "key": backend._cache_key(query, batch),
-                }
-            want = "cold" if expect_cold_list[i] else "warm"
-            template = group_state[want] or group_state["warm" if want == "cold" else "cold"]
-            if group_state[want] is None and group_state["probes"] < _FLUID_PROBE_LIMIT:
-                template = None  # force a probe for the missing class
-            if template is None:
-                outcome = backend.execute(query, at_time=at_time)
-                group_state["probes"] += 1
-                costs.append(outcome.cost)
-                finishes.append(at_time + outcome.latency_seconds)
-                colds.append(outcome.cold_starts)
-                warms.append(outcome.warm_starts)
-                for entry in cache.entries_for(group_state["key"]):
-                    kind = "cold" if entry.cold_starts > 0 else "warm"
-                    if group_state[kind] is None:
-                        group_state[kind] = entry
-                continue
-            slot = synth.get(id(template))
-            if slot is None:
-                synth[id(template)] = slot = [template, 0, []]
-            slot[1] += 1
-            slot[2].append(at_time)
-            costs.append(template.cost)
-            finishes.append(at_time + template.latency_seconds)
-            colds.append(template.cold_starts)
-            warms.append(template.warm_starts)
-        backend.finish()
-    finally:
-        backend.set_outcome_caching(False)
-
-    # Cost: exact fold over what really ran, plus count x template sums for
-    # the synthesized remainder (grouped numpy sums; approximate).
-    base = sink.cost_report()
-    total = base.total
-    record_count = base.record_count
-    by_service = dict(base.by_service)
-    by_operation = dict(base.by_operation)
-    for template, count, _ in synth.values():
-        block = template.cost_block()
-        if not block.cost.size:
-            continue
-        total += float(block.cost.sum()) * count
-        record_count += int(block.cost.size) * count
-        for key, values in block.svc_split.items():
-            by_service[key] = by_service.get(key, 0.0) + float(values.sum()) * count
-        for key, values in block.op_split.items():
-            by_operation[key] = by_operation.get(key, 0.0) + float(values.sum()) * count
-    cost_report = CostReport(
-        total=total,
-        by_service=by_service,
-        by_operation=by_operation,
-        record_count=record_count,
-    )
-
-    # Channel stats: real probes exactly, synthesized as count x vector.
-    vec = _channel_vec(sink.channel_stats())
-    for template, count, _ in synth.values():
-        if template.channel_vec is not None:
-            vec = vec + template.channel_vec * count
-    stats = _stats_from_vec(vec)
-
-    # Worker intervals: real probes from the backend/sink, synthesized from
-    # each template's invocation spans (or its latency span, claims-free).
-    starts: List[np.ndarray] = []
-    ends: List[np.ndarray] = []
-    intervals = backend.worker_intervals()
-    if intervals:
-        pairs = np.asarray(intervals, dtype=np.float64)
-        starts.append(pairs[:, 0])
-        ends.append(pairs[:, 1])
-    hit_starts, hit_ends = sink.hit_interval_arrays()
-    starts.extend(hit_starts)
-    ends.extend(hit_ends)
-    for template, _, times in synth.values():
-        if not times:
-            continue
-        at = np.asarray(times, dtype=np.float64)
-        if template.inv_count:
-            starts.append((at[:, None] + template.inv_rel_started).ravel())
-            ends.append((at[:, None] + template.inv_rel_finished).ravel())
-        else:
-            starts.append(at)
-            ends.append(at + template.latency_seconds)
-    peak_workers = (
-        peak_overlap_arrays(np.concatenate(starts), np.concatenate(ends))
-        if starts
-        else 0
-    )
-
-    finished = np.asarray(finishes, dtype=np.float64)
-    columns = ReportColumns(
-        query_id=query_id,
-        neurons=neurons,
-        samples=samples,
-        arrival=arrival,
-        started=arrival,
-        finished=finished,
-        cost=np.asarray(costs, dtype=np.float64),
-        cold=np.asarray(colds, dtype=np.int64),
-        warm=np.asarray(warms, dtype=np.int64),
-        tenants=tenants,
-    )
-    return ServingReport(
-        backend=backend.name,
-        config=config,
-        horizon_seconds=workload.horizon_seconds,
-        records=LazyRecordList(columns),
-        cost=cost_report,
-        peak_concurrent_queries=peak_overlap_arrays(arrival, finished),
-        peak_concurrent_workers=peak_workers,
-        channel_stats=stats,
-        fault_counts={},
-        columns=columns,
-        replay_mode="fluid",
     )

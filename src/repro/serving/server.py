@@ -17,13 +17,15 @@ trace through **one shared** :class:`~repro.cloud.CloudEnvironment`, so
   and aggregate (daily :class:`CostReport`, p50/p95/p99 latency, peak
   concurrency).
 
-The scheduler is an explicit event loop over one heap carrying three event
-kinds -- **completion**, **policy tick**, **arrival**, processed in that
-order at equal times -- so scheduling policies
+The scheduler is one event-loop kernel (:meth:`InferenceServer.run_event_loop`)
+over one heap carrying three event kinds -- **completion**, **policy tick**,
+**arrival**, processed in that order at equal times -- so scheduling policies
 (:mod:`repro.serving.policies`) can hold arrivals (batch coalescing) or
 adjust the admission limit (queue-depth autoscaling) without touching the
-replay mechanics.  With no policies configured the loop reproduces the
-original inline admission loop bit-for-bit.
+replay mechanics.  Serialized, chaos-resilient and interleaved serving all
+run this loop; they differ in two small stages (*dispatch* and
+*completion*).  With no policies configured the loop reproduces the original
+inline admission loop bit-for-bit.
 
 Invariant: replaying a single query arriving at ``t=0`` on a cold pool is
 *exactly* ``FSDInference.infer`` -- same output bytes, latency, cost and
@@ -36,8 +38,9 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,10 +51,12 @@ from ..comm import ChannelStats
 from ..telemetry import TelemetryConfig, Tracer
 from ..telemetry.export import critical_path as _trace_critical_path
 from ..workloads import InferenceQuery, SporadicWorkload
-from .backends import ServingBackend
+from .backends import QueryOutcome, ServingBackend, split_cost_by_samples
 from .policies import SchedulingPolicy
 
 __all__ = [
+    "REPLAY_MODES",
+    "check_replay_mode",
     "ServingConfig",
     "QueryRecord",
     "ServingReport",
@@ -65,6 +70,18 @@ __all__ = [
 #: intervals non-overlapping and a zero-second coalescing window equal to no
 #: batching.
 _COMPLETION, _POLICY_TICK, _ARRIVAL = 0, 1, 2
+
+#: every value ``replay_mode`` accepts (``ServingConfig`` and ``Campaign``).
+REPLAY_MODES = ("exact", "auto", "columnar")
+
+
+def check_replay_mode(replay_mode: str) -> None:
+    """Raise the typed error naming the field for an unknown ``replay_mode``."""
+    if replay_mode not in REPLAY_MODES:
+        raise ValueError(
+            f"replay_mode must be one of {', '.join(map(repr, REPLAY_MODES))}; "
+            f"got {replay_mode!r}"
+        )
 
 
 def peak_overlap(intervals: Iterable[Tuple[float, float]]) -> int:
@@ -133,35 +150,29 @@ class ServingConfig:
     #: historical fingerprint is produced with the cache off.  Chaos serves
     #: always bypass the cache regardless of this flag.
     outcome_cache: bool = False
-    #: replay strategy: ``"exact"`` (the event loop, default), ``"auto"`` or
-    #: ``"columnar"`` (Tier-B numpy fast path when no policies/chaos/bound
-    #: are configured, exact loop otherwise), ``"fluid"`` (Tier-C analytic
-    #: approximation; summaries are tagged).
+    #: replay strategy (:data:`REPLAY_MODES`): ``"exact"`` (the event-loop
+    #: kernel, default), ``"auto"`` or ``"columnar"`` (Tier-B numpy fast path
+    #: when no policies/chaos/bound are configured, the kernel otherwise).
     replay_mode: str = "exact"
     #: opt-in virtual-timeline tracing (:class:`~repro.telemetry.TelemetryConfig`).
     #: ``None`` -- the default -- installs nothing: every instrumentation
     #: point is a single ``if tracer is not None`` gate, so telemetry-off
     #: replays are byte-identical to the pre-telemetry serving layer.  The
-    #: exact loop and the columnar fast path emit the same span set; fluid
-    #: replays are analytic and record no trace.
+    #: kernel and the columnar fast path emit the same span set.
     telemetry: Optional[TelemetryConfig] = None
     #: opt-in interleaved execution with channel contention modelling
     #: (:class:`~repro.concurrency.ConcurrencyConfig`).  ``None`` -- the
-    #: default -- runs the serialized loop exactly as before; set, it routes
+    #: default -- completes every unit at ``admit + latency``; set, it routes
     #: the serve through :func:`repro.concurrency.interleave.interleaved_serve`,
-    #: which is byte-identical to the serialized loop while the contention
-    #: config stays unbounded.  Mutually exclusive with ``chaos`` and with
-    #: non-exact ``replay_mode``.
+    #: which hands the kernel a fair-share completion stage (byte-identical
+    #: to the serialized serve while the contention config stays unbounded).
+    #: Mutually exclusive with ``chaos`` and with non-exact ``replay_mode``.
     concurrency: Optional[ConcurrencyConfig] = None
 
     def __post_init__(self) -> None:
         if self.max_concurrent_queries is not None and self.max_concurrent_queries < 1:
             raise ValueError("max_concurrent_queries must be at least 1 (or None)")
-        if self.replay_mode not in ("exact", "auto", "columnar", "fluid"):
-            raise ValueError(
-                f"replay_mode must be one of 'exact', 'auto', 'columnar', 'fluid'; "
-                f"got {self.replay_mode!r}"
-            )
+        check_replay_mode(self.replay_mode)
         if self.concurrency is not None:
             if not isinstance(self.concurrency, ConcurrencyConfig):
                 raise ValueError(
@@ -256,8 +267,8 @@ class ServingReport:
     #: serve (:class:`~repro.serving.replaycore.ReportColumns`); aggregates
     #: below read the arrays directly instead of materialising records.
     columns: Optional[object] = field(default=None, repr=False, compare=False)
-    #: which replay tier produced this report (``None``/"exact" for the
-    #: event loop); only ``"fluid"`` changes the summary fingerprint.
+    #: which replay tier produced this report: ``None`` for the event-loop
+    #: kernel, ``"columnar"`` for the fast path (never fingerprinted).
     replay_mode: Optional[str] = field(default=None, compare=False)
     #: the :class:`~repro.telemetry.Tracer` that recorded this serve, when
     #: ``ServingConfig(telemetry=...)`` was set; ``None`` otherwise.
@@ -514,11 +525,6 @@ class ServingReport:
             summary["policies"] = [policy.describe() for policy in self.config.policies]
             summary["coalesced_query_count"] = self.coalesced_query_count
             summary["execution_count"] = self.execution_count
-        # Fluid replays are approximate by construction: tag them so their
-        # fingerprints can never shadow an exact one.  Exact and columnar
-        # replays add nothing, keeping historical fingerprints bit-for-bit.
-        if self.replay_mode == "fluid":
-            summary["replay_mode"] = "fluid"
         # Tenant pivot only when the workload actually carries tenant tags, so
         # untagged workloads keep their historical fingerprints bit-for-bit.
         if self.columns is not None:
@@ -583,28 +589,100 @@ class ServingReport:
         return _trace_critical_path(self.telemetry, query_id)
 
 
-def _split_cost(total: float, queries: Tuple[InferenceQuery, ...]) -> List[float]:
-    """Split an aborted-attempt cost over a unit's queries, by sample share.
+#: what a query that never ran to completion (shed or failed) contributes to
+#: its record: no latency, no cost of its own, no starts.
+_NO_OUTCOME = QueryOutcome(latency_seconds=0.0, cost=0.0)
 
-    Same attribution rule as :func:`~repro.serving.backends.split_batch_outcome`:
-    proportional to samples with the last query absorbing the floating-point
-    remainder, so the shares sum exactly to ``total``.
+
+@contextmanager
+def serve_mounts(
+    backend: ServingBackend, config: ServingConfig, horizon_seconds: float, use_cache: bool
+) -> Iterator[tuple]:
+    """Mount one serve's hooks on ``backend``; unmount them however it ends.
+
+    Yields ``(injector, tracer, serve_span)``, each ``None`` when its feature
+    is off.  The tracer is installed before the caller's ``begin()`` so
+    setup-phase channel ops are captured too.  Every serve path mounts
+    through here, so a serve that raises never leaves a stale injector,
+    tracer or cache toggle behind for the backend's next serve.
     """
-    if total == 0.0:
-        return [0.0] * len(queries)
-    total_samples = sum(query.samples for query in queries)
-    shares: List[float] = []
-    remaining = total
-    for index, query in enumerate(queries):
-        if index == len(queries) - 1:
-            share = remaining
-        elif total_samples > 0:
-            share = total * query.samples / total_samples
-        else:
-            share = total / len(queries)
-        remaining -= share
-        shares.append(share)
-    return shares
+    injector = tracer = serve_span = None
+    try:
+        if config.chaos is not None:
+            injector = config.chaos.build_injector(horizon_seconds)
+            backend.install_chaos(injector, config.chaos.channel_retry)
+        if config.telemetry is not None:
+            tracer = config.telemetry.build_tracer()
+            backend.install_telemetry(tracer)
+            serve_span = tracer.begin_span(
+                "serve", track="server", start=0.0, backend=backend.name
+            )
+        if use_cache:
+            backend.set_outcome_caching(True)
+        yield injector, tracer, serve_span
+    finally:
+        if use_cache:
+            backend.set_outcome_caching(False)
+        if injector is not None:
+            backend.clear_chaos()
+        if tracer is not None:
+            backend.clear_telemetry()
+
+
+def record_query_spans(
+    tracer: Tracer,
+    serve_span,
+    query: InferenceQuery,
+    dispatch_at: float,
+    solo_end: float,
+    result: QueryOutcome,
+    outcome: str = "completed",
+    attempts: int = 1,
+    failure_reason: Optional[str] = None,
+    delay: float = 0.0,
+) -> None:
+    """The one emission site of a query's spans, for every outcome and path.
+
+    A ``query`` span from arrival to ``solo_end + delay``; for a completed
+    query an ``attempt`` child over its final dispatch, plus a
+    ``contended_wait`` child over the stretch the arbiter added, if any.
+    """
+    end = solo_end + delay
+    extra = {"failure_reason": failure_reason} if outcome == "failed" else {}
+    query_span = tracer.record_span(
+        "query",
+        track="queries",
+        start=query.arrival_time,
+        end=end,
+        parent=serve_span,
+        query_id=query.query_id,
+        neurons=query.neurons,
+        samples=query.samples,
+        outcome=outcome,
+        attempts=attempts,
+        **extra,
+    )
+    if outcome != "completed":
+        return
+    tracer.record_span(
+        "attempt",
+        track="queries",
+        start=dispatch_at,
+        end=end,
+        parent=query_span,
+        attempt=attempts,
+        cold_starts=result.cold_starts,
+        warm_starts=result.warm_starts,
+    )
+    if delay > 0.0:
+        tracer.record_span(
+            "contended_wait",
+            track="queries",
+            start=solo_end,
+            end=end,
+            parent=query_span,
+            interference_seconds=delay,
+        )
 
 
 class InferenceServer:
@@ -617,19 +695,17 @@ class InferenceServer:
     def serve(self, workload: SporadicWorkload) -> ServingReport:
         """Replay every query of ``workload``.
 
-        Dispatches to the vectorized replay core
-        (:mod:`repro.serving.replaycore`) when the configuration opts in
-        (``replay_mode`` other than ``"exact"``) *and* the event loop would
-        degenerate to immediate admission -- no policies, no chaos, no
-        concurrency bound.  Everything else (and the default) runs the exact
-        event loop; chaos always does.
+        Two paths: the event-loop kernel, and its columnar specialisation
+        (:func:`repro.serving.replaycore.columnar_serve`) when the
+        configuration opts in (``replay_mode`` other than ``"exact"``) *and*
+        the loop would degenerate to immediate admission -- no policies, no
+        chaos, no concurrency bound.  A ``concurrency`` config runs the
+        kernel with the interleaver's completion stage.
         """
         config = self.config
         if config.concurrency is not None:
-            # Interleaved execution replaces the serialized loop wholesale;
-            # imported lazily to keep repro.concurrency importable without
-            # the serving layer.  Config validation already rejected chaos
-            # and non-exact replay modes.
+            # Imported lazily so a serialized serve never loads the package
+            # (and repro.concurrency stays importable without this module).
             from ..concurrency.interleave import interleaved_serve
 
             return interleaved_serve(self, workload)
@@ -639,148 +715,135 @@ class InferenceServer:
             and not config.policies
             and config.max_concurrent_queries is None
         ):
-            from . import replaycore
+            from .replaycore import columnar_serve
 
-            if config.replay_mode == "fluid":
-                report = replaycore.fluid_serve(self, workload)
-            else:
-                report = replaycore.columnar_serve(self, workload)
+            report = columnar_serve(self, workload)
             if report is not None:
                 return report
-        return self._serve_exact(workload)
+        return self.run_event_loop(workload)
 
-    def _serve_exact(self, workload: SporadicWorkload) -> ServingReport:
-        """Replay every query of ``workload`` via the event loop.
+    def run_event_loop(self, workload: SporadicWorkload, completion=None) -> ServingReport:
+        """The event-loop kernel: replay ``workload`` off one heap.
 
         Events (completions, policy ticks, arrivals -- in that order at
         equal times) are drained from one heap.  Arrivals are either claimed
         by a policy (held for a coalescing window) or appended to the
         admission queue; after every event, as many queued units as the
-        admission limit allows are executed at the current virtual time.
+        admission limit allows are dispatched at the current virtual time.
         Admission times are non-decreasing, so the FaaS warm pool observes a
-        causally consistent request sequence.
+        causally consistent request sequence.  Two stages vary:
+
+        * **dispatch** -- one ``execute_batch`` call, or under
+          ``config.chaos`` the shed -> retry -> abort-rollback sequence.
+          Whatever faults fire, a unit always ends as records with a
+          structured outcome; the loop itself never crashes.
+        * **completion** -- with ``completion=None`` a unit releases its
+          slot at ``dispatch + latency``, and its records and spans are
+          emitted at admit time (the columnar path's span ids depend on it).
+          A completion stage (:mod:`repro.concurrency.interleave`) decides
+          instead: the kernel runs units through its ``execute(unit,
+          at_time)``, pushes the ``(time, payload)`` completion events its
+          ``admitted(at, latency)`` returns, hands each payload back to
+          ``on_event(payload, now) -> (slot_released, more_events)``, and
+          after the loop materialises the records -- still in admission
+          order -- with ``finished_at = (dispatch + latency) + delay`` from
+          its ``delays()``, one per admitted unit.
         """
-        chaos = self.config.chaos
-        injector = None
-        if chaos is not None:
-            injector = chaos.build_injector(workload.horizon_seconds)
-            self.backend.install_chaos(injector, chaos.channel_retry)
-        # Telemetry mirrors the chaos mount: one tracer per serve, installed
-        # on the backend's cloud before begin() so setup-phase channel ops
-        # are captured too; every use below is gated on ``tracer is not
-        # None`` so the untraced loop is byte-identical to before.
-        tracer: Optional[Tracer] = None
-        serve_span = None
-        if self.config.telemetry is not None:
-            tracer = self.config.telemetry.build_tracer()
-            self.backend.install_telemetry(tracer)
-            serve_span = tracer.begin_span(
-                "serve", track="server", start=0.0, backend=self.backend.name
-            )
-        self.backend.begin(workload)
-        # Tier-A outcome memoisation is opt-in and chaos is its hard
-        # boundary: fault injection is time-positional, so a chaos serve
-        # must re-simulate every execution.
-        use_cache = self.config.outcome_cache and chaos is None
-        if use_cache:
-            self.backend.set_outcome_caching(True)
-        policies = self.config.policies
-        for policy in policies:
-            policy.begin(workload)
+        config = self.config
+        backend = self.backend
+        chaos = config.chaos
+        policies = config.policies
+        deadline = chaos.deadline_seconds if chaos is not None else None
+        # Tier-A outcome memoisation is opt-in, and chaos and contention are
+        # its hard boundary: fault injection is time-positional and peers
+        # stretch executions mid-flight, so both re-simulate every execution.
+        use_cache = config.outcome_cache and chaos is None and completion is None
+        execute = backend.execute_batch if completion is None else completion.execute
 
-        events: List[Tuple[float, int, int, Optional[InferenceQuery]]] = []
-        seq = 0
-        for query in workload.iter_trace():
-            heapq.heappush(events, (query.arrival_time, _ARRIVAL, seq, query))
-            seq += 1
-
+        events = [
+            (query.arrival_time, _ARRIVAL, seq, query)
+            for seq, query in enumerate(workload.iter_trace())
+        ]
+        heapq.heapify(events)
+        seq = len(events)
         pending: Deque[Tuple[InferenceQuery, ...]] = deque()
         records: List[QueryRecord] = []
+        deferred: List[tuple] = []  # emit() arguments awaiting their unit's delay
         channel_total = ChannelStats()
         in_flight = 0
 
-        def current_limit() -> Optional[int]:
-            limit = self.config.max_concurrent_queries
-            for policy in policies:
-                limit = policy.admission_limit(
-                    limit, queue_depth=len(pending), in_flight=in_flight
+        def push(when: float, kind: int, payload) -> None:
+            nonlocal seq
+            heapq.heappush(events, (when, kind, seq, payload))
+            seq += 1
+
+        def emit(
+            unit, group, started, dispatch_at, outcomes, attempts, aborted_cost, reason, delay
+        ) -> None:
+            """Materialise one unit's records and spans: every outcome, every path."""
+            if outcomes is not None:
+                outcome = "completed"
+            else:
+                outcome = "failed" if attempts else "shed"  # shed: never dispatched
+                outcomes = [_NO_OUTCOME] * len(unit)
+            # An aborted attempt's bills stay in the ledger; surface them on
+            # the records too (partial billing).  ``+ 0.0`` changes no bit.
+            shares = split_cost_by_samples(aborted_cost, unit)
+            for query, result, share in zip(unit, outcomes, shares):
+                solo_end = dispatch_at + result.latency_seconds
+                records.append(
+                    QueryRecord(
+                        query_id=query.query_id,
+                        neurons=query.neurons,
+                        samples=query.samples,
+                        arrival_time=query.arrival_time,
+                        started_at=started,
+                        finished_at=solo_end + delay,
+                        cost=result.cost + share,
+                        cold_starts=result.cold_starts,
+                        warm_starts=result.warm_starts,
+                        coalesced_group=group,
+                        tenant=query.tenant,
+                        outcome=outcome,
+                        attempts=attempts,
+                        failure_reason=reason,
+                        interference_seconds=delay,
+                    )
                 )
-            return limit
-
-        def run_resilient(unit: Tuple[InferenceQuery, ...], now: float) -> None:
-            """Dispatch one unit under the chaos config: shed, retry, degrade.
-
-            Whatever faults fire, the unit always ends as records with a
-            structured outcome -- the serve loop itself never crashes.  A
-            failed or completed dispatch occupies an admission slot until its
-            completion event; a shed unit never takes a slot.
-            """
-            nonlocal in_flight, seq
-            leader = unit[0]
-            group = tuple(query.query_id for query in unit) if len(unit) > 1 else ()
-            deadline = chaos.deadline_seconds
-
-            if deadline is not None and now - leader.arrival_time > deadline:
-                # Load shedding: the unit is already past its deadline before
-                # dispatch, so drop it instead of burning backend capacity.
-                for query in unit:
-                    records.append(
-                        QueryRecord(
-                            query_id=query.query_id,
-                            neurons=query.neurons,
-                            samples=query.samples,
-                            arrival_time=query.arrival_time,
-                            started_at=now,
-                            finished_at=now,
-                            cost=0.0,
-                            cold_starts=0,
-                            warm_starts=0,
-                            coalesced_group=group,
-                            tenant=query.tenant,
-                            outcome="shed",
-                            attempts=0,
-                            failure_reason="deadline_exceeded",
-                        )
-                    )
                 if tracer is not None:
-                    tracer.event(
-                        "shed",
-                        track="server",
-                        t=now,
-                        query_id=leader.query_id,
-                        reason="deadline_exceeded",
+                    record_query_spans(
+                        tracer,
+                        serve_span,
+                        query,
+                        dispatch_at,
+                        solo_end,
+                        result,
+                        outcome,
+                        attempts,
+                        reason,
+                        delay,
                     )
-                    for query in unit:
-                        tracer.record_span(
-                            "query",
-                            track="queries",
-                            start=query.arrival_time,
-                            end=now,
-                            parent=serve_span,
-                            query_id=query.query_id,
-                            neurons=query.neurons,
-                            samples=query.samples,
-                            outcome="shed",
-                            attempts=0,
-                        )
-                return
 
+        def dispatch(unit: Tuple[InferenceQuery, ...], now: float):
+            """Run ``unit``: ``(outcomes, dispatched_at, attempts, aborted_cost, reason)``.
+
+            ``outcomes`` is ``None`` (and ``reason`` the error class name)
+            when the retries ran out.
+            """
+            if chaos is None:
+                return execute(list(unit), at_time=now), now, 1, 0.0, None
+            leader = unit[0]
             retry = chaos.retry
             attempt = 1
             dispatch_at = now
             aborted_cost = 0.0
-            outcomes = None
-            error: Optional[CloudError] = None
             while True:
-                token = self.backend.attempt_begin()
+                token = backend.attempt_begin()
                 try:
-                    outcomes = self.backend.execute_batch(list(unit), at_time=dispatch_at)
-                    break
+                    outcomes = execute(list(unit), at_time=dispatch_at)
+                    return outcomes, dispatch_at, attempt, aborted_cost, None
                 except CloudError as caught:
-                    # The aborted attempt's bills stay in the ledger; surface
-                    # them on the records too (partial billing).
-                    aborted_cost += self.backend.attempt_abort(token)
-                    error = caught
+                    aborted_cost += backend.attempt_abort(token)
                     if tracer is not None:
                         tracer.event(
                             "fault",
@@ -792,190 +855,82 @@ class InferenceServer:
                         )
                     retry_at = None
                     if retry is not None and retry.should_retry(caught, attempt):
-                        candidate = dispatch_at + retry.backoff_seconds(
+                        retry_at = dispatch_at + retry.backoff_seconds(
                             attempt, token=leader.query_id
                         )
-                        # Don't re-dispatch past the deadline: the retried
-                        # query could never finish in time anyway.
-                        if deadline is None or candidate - leader.arrival_time <= deadline:
-                            retry_at = candidate
-                    if retry_at is None:
-                        break
+                    # Don't re-dispatch past the deadline: the retried query
+                    # could never finish in time anyway.
+                    if retry_at is None or (
+                        deadline is not None and retry_at - leader.arrival_time > deadline
+                    ):
+                        return None, dispatch_at, attempt, aborted_cost, type(caught).__name__
+                    attempt += 1
                     if tracer is not None:
                         tracer.event(
                             "retry",
                             track="server",
                             t=retry_at,
                             query_id=leader.query_id,
-                            attempt=attempt + 1,
+                            attempt=attempt,
                         )
                     dispatch_at = retry_at
-                    attempt += 1
-
-            shares = _split_cost(aborted_cost, unit)
-            if outcomes is None:
-                # Permanent failure: record it with the partial billing and
-                # let the slot go through the normal completion event.
-                assert error is not None
-                reason = type(error).__name__
-                for query, share in zip(unit, shares):
-                    records.append(
-                        QueryRecord(
-                            query_id=query.query_id,
-                            neurons=query.neurons,
-                            samples=query.samples,
-                            arrival_time=query.arrival_time,
-                            started_at=now,
-                            finished_at=dispatch_at,
-                            cost=share,
-                            cold_starts=0,
-                            warm_starts=0,
-                            coalesced_group=group,
-                            tenant=query.tenant,
-                            outcome="failed",
-                            attempts=attempt,
-                            failure_reason=reason,
-                        )
-                    )
-                if tracer is not None:
-                    for query in unit:
-                        tracer.record_span(
-                            "query",
-                            track="queries",
-                            start=query.arrival_time,
-                            end=dispatch_at,
-                            parent=serve_span,
-                            query_id=query.query_id,
-                            neurons=query.neurons,
-                            samples=query.samples,
-                            outcome="failed",
-                            attempts=attempt,
-                            failure_reason=reason,
-                        )
-                in_flight += 1
-                heapq.heappush(events, (dispatch_at, _COMPLETION, seq, None))
-                seq += 1
-                return
-
-            finished = dispatch_at + outcomes[0].latency_seconds
-            for query, outcome, share in zip(unit, outcomes, shares):
-                if outcome.channel_stats is not None:
-                    channel_total.accumulate(outcome.channel_stats)
-                records.append(
-                    QueryRecord(
-                        query_id=query.query_id,
-                        neurons=query.neurons,
-                        samples=query.samples,
-                        arrival_time=query.arrival_time,
-                        started_at=now,
-                        finished_at=dispatch_at + outcome.latency_seconds,
-                        cost=outcome.cost + share,
-                        cold_starts=outcome.cold_starts,
-                        warm_starts=outcome.warm_starts,
-                        coalesced_group=group,
-                        tenant=query.tenant,
-                        outcome="completed",
-                        attempts=attempt,
-                    )
-                )
-            if tracer is not None:
-                for query, outcome in zip(unit, outcomes):
-                    query_span = tracer.record_span(
-                        "query",
-                        track="queries",
-                        start=query.arrival_time,
-                        end=dispatch_at + outcome.latency_seconds,
-                        parent=serve_span,
-                        query_id=query.query_id,
-                        neurons=query.neurons,
-                        samples=query.samples,
-                        outcome="completed",
-                        attempts=attempt,
-                    )
-                    tracer.record_span(
-                        "attempt",
-                        track="queries",
-                        start=dispatch_at,
-                        end=dispatch_at + outcome.latency_seconds,
-                        parent=query_span,
-                        attempt=attempt,
-                        cold_starts=outcome.cold_starts,
-                        warm_starts=outcome.warm_starts,
-                    )
-            in_flight += 1
-            heapq.heappush(events, (finished, _COMPLETION, seq, None))
-            seq += 1
 
         def admit(now: float) -> None:
-            nonlocal in_flight, seq
+            nonlocal in_flight
             while pending:
-                limit = current_limit()
+                limit = config.max_concurrent_queries
+                for policy in policies:
+                    limit = policy.admission_limit(
+                        limit, queue_depth=len(pending), in_flight=in_flight
+                    )
                 if limit is not None and in_flight >= limit:
                     break
                 unit = pending.popleft()
-                if chaos is not None:
-                    run_resilient(unit, now)
-                    continue
-                outcomes = self.backend.execute_batch(list(unit), at_time=now)
-                finished = now + outcomes[0].latency_seconds
                 group = tuple(query.query_id for query in unit) if len(unit) > 1 else ()
-                if tracer is not None and len(unit) > 1:
-                    tracer.event(
-                        "coalesced",
-                        track="server",
-                        t=now,
-                        group=list(group),
-                    )
-                for query, outcome in zip(unit, outcomes):
-                    if outcome.channel_stats is not None:
-                        channel_total.accumulate(outcome.channel_stats)
-                    records.append(
-                        QueryRecord(
-                            query_id=query.query_id,
-                            neurons=query.neurons,
-                            samples=query.samples,
-                            arrival_time=query.arrival_time,
-                            started_at=now,
-                            finished_at=now + outcome.latency_seconds,
-                            cost=outcome.cost,
-                            cold_starts=outcome.cold_starts,
-                            warm_starts=outcome.warm_starts,
-                            coalesced_group=group,
-                            tenant=query.tenant,
-                        )
-                    )
+                if deadline is not None and now - unit[0].arrival_time > deadline:
+                    # Load shedding: already past its deadline before
+                    # dispatch, so drop the unit instead of burning backend
+                    # capacity.  A shed unit never takes a slot.
                     if tracer is not None:
-                        query_span = tracer.record_span(
-                            "query",
-                            track="queries",
-                            start=query.arrival_time,
-                            end=now + outcome.latency_seconds,
-                            parent=serve_span,
-                            query_id=query.query_id,
-                            neurons=query.neurons,
-                            samples=query.samples,
-                            outcome="completed",
-                            attempts=1,
+                        tracer.event(
+                            "shed",
+                            track="server",
+                            t=now,
+                            query_id=unit[0].query_id,
+                            reason="deadline_exceeded",
                         )
-                        tracer.record_span(
-                            "attempt",
-                            track="queries",
-                            start=now,
-                            end=now + outcome.latency_seconds,
-                            parent=query_span,
-                            attempt=1,
-                            cold_starts=outcome.cold_starts,
-                            warm_starts=outcome.warm_starts,
-                        )
+                    emit(unit, group, now, now, None, 0, 0.0, "deadline_exceeded", 0.0)
+                    continue
+                outcomes, dispatch_at, attempts, aborted_cost, reason = dispatch(unit, now)
+                if tracer is not None and group:
+                    tracer.event("coalesced", track="server", t=now, group=list(group))
+                # A permanent failure (no outcomes) is recorded with its
+                # partial billing and still releases its slot through a
+                # completion event, at the time of its last attempt.
+                latency = 0.0
+                if outcomes is not None:
+                    latency = outcomes[0].latency_seconds
+                    for outcome in outcomes:
+                        if outcome.channel_stats is not None:
+                            channel_total.accumulate(outcome.channel_stats)
+                args = (unit, group, now, dispatch_at, outcomes, attempts, aborted_cost, reason)
+                if completion is None:
+                    emit(*args, 0.0)
+                    push(dispatch_at + latency, _COMPLETION, None)
+                else:
+                    deferred.append(args)
+                    for when, payload in completion.admitted(dispatch_at, latency):
+                        push(when, _COMPLETION, payload)
                 in_flight += 1
-                heapq.heappush(events, (finished, _COMPLETION, seq, None))
-                seq += 1
 
-        try:
+        mounts = serve_mounts(backend, config, workload.horizon_seconds, use_cache)
+        with mounts as (injector, tracer, serve_span):
+            backend.begin(workload)
+            for policy in policies:
+                policy.begin(workload)
             while events:
                 now, kind, _, payload = heapq.heappop(events)
                 if kind == _ARRIVAL:
-                    assert payload is not None
                     decision = None
                     for policy in policies:
                         decision = policy.on_arrival(payload, now)
@@ -984,9 +939,14 @@ class InferenceServer:
                     if decision is None:
                         pending.append((payload,))
                     elif decision.tick_at is not None:
-                        heapq.heappush(events, (decision.tick_at, _POLICY_TICK, seq, None))
-                        seq += 1
+                        push(decision.tick_at, _POLICY_TICK, None)
                 elif kind == _COMPLETION:
+                    if payload is not None:
+                        released, more = completion.on_event(payload, now)
+                        for when, item in more:
+                            push(when, _COMPLETION, item)
+                        if not released:
+                            continue  # stale or internal to a unit: no admission change
                     in_flight -= 1
                     for policy in policies:
                         policy.on_completion(
@@ -1001,27 +961,25 @@ class InferenceServer:
                 if tracer is not None:
                     tracer.gauge_sample("server.queue_depth", float(len(pending)), now)
                     tracer.gauge_sample("server.in_flight", float(in_flight), now)
+            cost = backend.finish()
 
-            cost = self.backend.finish()
-        finally:
-            if use_cache:
-                self.backend.set_outcome_caching(False)
-        if chaos is not None:
-            self.backend.clear_chaos()
+        if deferred:
+            for args, delay in zip(deferred, completion.delays()):
+                emit(*args, delay)
         if tracer is not None:
-            serve_end = max((record.finished_at for record in records), default=0.0)
-            tracer.end_span(serve_span, serve_end)
-            self.backend.clear_telemetry()
+            tracer.end_span(
+                serve_span, max((record.finished_at for record in records), default=0.0)
+            )
         return ServingReport(
-            backend=self.backend.name,
-            config=self.config,
+            backend=backend.name,
+            config=config,
             horizon_seconds=workload.horizon_seconds,
             records=records,
             cost=cost,
             peak_concurrent_queries=peak_overlap(
                 (record.started_at, record.finished_at) for record in records
             ),
-            peak_concurrent_workers=peak_overlap(self.backend.worker_intervals()),
+            peak_concurrent_workers=peak_overlap(backend.worker_intervals()),
             channel_stats=channel_total,
             fault_counts=dict(injector.injected_counts) if injector is not None else {},
             telemetry=tracer,

@@ -26,6 +26,7 @@ import json
 import pytest
 
 from repro import (
+    BatchCoalescingPolicy,
     Campaign,
     ChaosConfig,
     ChaosScenario,
@@ -224,6 +225,36 @@ class TestChaosOffByteIdentity:
         assert chaos_block["availability"] == 1.0
         assert chaos_block["fault_counts"] == {}
         assert base_summary == empty_summary
+
+    def test_inert_chaos_config_degenerates_to_plain_dispatch(self, tiny_model_chaos):
+        """No faults, no retry, no deadline: the resilient stage IS the plain one.
+
+        Field for field and bit for bit (``==`` would let ``-0.0`` pass for
+        ``0.0``), with merged units and a bounded admission queue in play.
+        """
+
+        def serve(chaos):
+            config = ServingConfig(
+                chaos=chaos,
+                max_concurrent_queries=1,
+                policies=(BatchCoalescingPolicy(window_seconds=1800.0),),
+            )
+            return InferenceServer(_fsd_backend(tiny_model_chaos), config).serve(_workload())
+
+        def fields(record):
+            return {
+                name: value.hex() if isinstance(value, float) else value
+                for name, value in vars(record).items()
+            }
+
+        base = serve(None)
+        inert = serve(
+            ChaosConfig(plan=FaultPlan(), retry=None, channel_retry=None, deadline_seconds=None)
+        )
+        assert base.coalesced_query_count > 0
+        assert [fields(r) for r in inert.records] == [fields(r) for r in base.records]
+        assert inert.cost.total.hex() == base.cost.total.hex()
+        assert inert.channel_stats == base.channel_stats
 
     def test_chaos_off_summary_has_no_reliability_keys(self, tiny_model_chaos):
         report = InferenceServer(_fsd_backend(tiny_model_chaos)).serve(_workload())

@@ -20,6 +20,7 @@ import heapq
 import pytest
 
 from repro import (
+    BatchCoalescingPolicy,
     Campaign,
     CloudEnvironment,
     ConcurrencyConfig,
@@ -32,6 +33,7 @@ from repro import (
     InferenceServer,
     PoissonProcess,
     QueryWorkloadFactory,
+    QueueDepthAutoscaler,
     Scenario,
     ServingConfig,
     SporadicWorkload,
@@ -235,6 +237,29 @@ class TestByteIdentity:
         interleaved = InferenceServer(_queue_backend(tiny_model), config_inter).serve(workload)
         assert interleaved.records == serialized.records
         assert interleaved.summary() == serialized.summary()
+
+    def test_unbounded_interleave_with_policies(self, tiny_model):
+        """Held batches and a moving admission limit drain identically too."""
+
+        def serve(**extra):
+            config = ServingConfig(
+                policies=(
+                    BatchCoalescingPolicy(window_seconds=0.025),
+                    QueueDepthAutoscaler(min_limit=1, max_limit=3, queries_per_slot=1),
+                ),
+                **extra,
+            )
+            return InferenceServer(_queue_backend(tiny_model), config).serve(
+                _flash_crowd(count=12)
+            )
+
+        serialized = serve()
+        interleaved = serve(concurrency=ConcurrencyConfig())
+        assert serialized.coalesced_query_count > 0
+        assert serialized.execution_count > 3  # the autoscaler bound queued some units
+        assert interleaved.records == serialized.records
+        assert interleaved.summary() == serialized.summary()
+        assert interleaved.channel_stats == serialized.channel_stats
 
     def test_unbounded_summary_has_no_concurrency_key(self, tiny_model):
         report = InferenceServer(

@@ -100,6 +100,10 @@ class TestFixtureCorpus:
         assert lint_source(wallclock, "benchmarks/bench_something.py").findings == []
         keys_iter = "def f(d):\n    return [k for k in d.keys()]\n"
         assert lint_source(keys_iter, "src/repro/scenarios/processes.py").findings == []
+        # ...while every module that builds a hashed report is in DET004's scope.
+        for hashed in ("serving/server.py", "concurrency/arbiter.py", "planner/search.py"):
+            findings = lint_source(keys_iter, f"src/repro/{hashed}").findings
+            assert [f.rule for f in findings] == ["DET004"], hashed
         ungated = (
             "class C:\n"
             "    def f(self, clock):\n"

@@ -205,23 +205,6 @@ class TestPeakOverlapArrays:
         assert peak_overlap_arrays(np.empty(0), np.empty(0)) == 0
 
 
-class TestFluidMode:
-    """Tier C: tagged, approximate, never mistaken for an exact replay."""
-
-    def test_fluid_is_tagged_and_close(self, tiny_model):
-        workload = _workload(5)
-        _, exact = _serve(tiny_model, workload)
-        _, fluid = _serve(tiny_model, workload, replay_mode="fluid")
-        assert fluid.replay_mode == "fluid"
-        assert fluid.summary()["replay_mode"] == "fluid"
-        assert "replay_mode" not in exact.summary()
-        assert fluid.num_queries == exact.num_queries
-        assert fluid.cost.total == pytest.approx(exact.cost.total, rel=0.05)
-        assert fluid.p50_latency_seconds == pytest.approx(
-            exact.p50_latency_seconds, rel=0.05
-        )
-
-
 class TestSortedLatencyMemo:
     def test_percentiles_use_memo_and_invalidate_on_append(self, tiny_model):
         workload = _workload(5)
@@ -299,6 +282,9 @@ class TestCampaignReplayKnobs:
         scenario = type(
             "S", (), {"name": "s", "build": lambda self: SporadicWorkload(queries=[])}
         )()
-        with pytest.raises(ValueError, match="replay_mode"):
-            # detlint: allow[DET006] constructor-rejection fixture; the campaign never runs
-            Campaign([scenario], {"b": lambda: None}, replay_mode="warp")
+        for mode in ("warp", "fluid"):  # "fluid" was a mode until PR 13 deleted it
+            with pytest.raises(ValueError, match="replay_mode.*'columnar'; got"):
+                # detlint: allow[DET006] constructor-rejection fixture; the campaign never runs
+                Campaign([scenario], {"b": lambda: None}, replay_mode=mode)
+            with pytest.raises(ValueError, match="replay_mode.*'columnar'; got"):
+                ServingConfig(replay_mode=mode)

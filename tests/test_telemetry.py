@@ -16,17 +16,24 @@ Pins the four contracts the tracer is built on:
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro import (
+    BatchCoalescingPolicy,
+    ChaosConfig,
     CloudEnvironment,
+    ConcurrencyConfig,
     EngineConfig,
+    FaultPlan,
     FSDServingBackend,
     GraphChallengeConfig,
+    InferenceQuery,
     InferenceServer,
     QueryWorkloadFactory,
     ServingConfig,
+    SporadicWorkload,
     TelemetryConfig,
     Variant,
     build_graph_challenge_model,
@@ -166,7 +173,7 @@ class TestColumnarParity:
             ServingConfig(telemetry=TelemetryConfig(), replay_mode="columnar"),
             workload,
         )
-        assert columnar.summary().get("replay_mode") != "fluid"
+        assert columnar.replay_mode == "columnar" and exact.replay_mode is None
         assert _span_tuples(columnar.telemetry) == _span_tuples(exact.telemetry)
         assert columnar.telemetry.summary() == exact.telemetry.summary()
 
@@ -186,6 +193,74 @@ class TestColumnarParity:
             if not name.startswith("server.")
         }
         assert columnar_dict["metrics"]["gauges"] == exact_cloud_gauges
+
+
+class _SecondExecutionRaises(FSDServingBackend):
+    def _execute_real(self, query, model, batch, at_time):
+        self.executions = getattr(self, "executions", 0) + 1
+        if self.executions == 2:
+            raise RuntimeError("backend bug on the second execution")
+        return super()._execute_real(query, model, batch, at_time)
+
+
+class TestHooksUnmountWhenAServeRaises:
+    """A serve that raises must not leave its hooks mounted on the backend."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ServingConfig(chaos=ChaosConfig(plan=FaultPlan()), outcome_cache=True),
+            ServingConfig(replay_mode="columnar", outcome_cache=True),
+            ServingConfig(concurrency=ConcurrencyConfig()),
+        ],
+        ids=["kernel", "columnar", "interleaved"],
+    )
+    def test_all_mounts_cleared(self, tiny_model, config):
+        backend = _SecondExecutionRaises(
+            CloudEnvironment(),
+            QueryWorkloadFactory(model_builder=lambda neurons: tiny_model),
+            config_for=lambda neurons: EngineConfig(variant=Variant.SERIAL, workers=1),
+        )
+        server = InferenceServer(backend, replace(config, telemetry=TelemetryConfig()))
+        with pytest.raises(RuntimeError, match="second execution"):
+            server.serve(_workload())
+        assert backend.cloud.telemetry.tracer is None
+        assert backend.cloud.faults.injector is None
+        assert backend.cloud.contention.arbiter is None
+        assert backend._cache_active is False and backend._cache_sink is None
+
+
+class TestCoalescedEvent:
+    """One ``coalesced`` event per merged unit dispatched, on every loop flavour."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {},
+            {"chaos": ChaosConfig(plan=FaultPlan())},
+            {"concurrency": ConcurrencyConfig()},
+        ],
+        ids=["plain", "chaos", "interleaved"],
+    )
+    def test_one_event_per_merged_unit(self, tiny_model, extra):
+        workload = SporadicWorkload(
+            queries=[
+                InferenceQuery(query_id=i, arrival_time=t, neurons=64, samples=4)
+                for i, t in enumerate([0.0, 1.0, 2.0, 500.0, 900.0, 901.0])
+            ]
+        )
+        config = ServingConfig(
+            policies=(BatchCoalescingPolicy(window_seconds=5.0),),
+            telemetry=TelemetryConfig(),
+            **extra,
+        )
+        report = _serve(tiny_model, config, workload)
+        events = [e for e in report.telemetry.events if e.name == "coalesced"]
+        assert [e.attrs["group"] for e in events] == [[0, 1, 2], [4, 5]]
+        for event in events:
+            merged = [r for r in report.records if r.query_id in event.attrs["group"]]
+            assert {r.coalesced_group for r in merged} == {tuple(event.attrs["group"])}
+            assert {r.started_at for r in merged} == {event.t}
 
 
 class TestExports:
