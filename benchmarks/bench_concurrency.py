@@ -16,7 +16,10 @@ repo root, carrying both summaries, the p99 inflation factor and the
 per-resource peak utilization/backlog -- all *simulated* quantities that
 depend only on the workload seed and the contention config, so they must
 stay bit-for-bit identical across PRs unless the contention semantics
-intentionally change.
+intentionally change.  That is enforced: a record whose fingerprint differs
+from the latest recorded one for the same crowd size (``--quick`` or full) is
+refused and the history left untouched; an intentional change re-pins by
+editing the history file in the same PR.
 
 Both serves are replayed **twice** and the record is only written when the
 two passes agree exactly -- the benchmark doubles as a determinism check.
@@ -125,6 +128,31 @@ def _fingerprint(simulated: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+def check_fingerprint(path: Path, record: dict) -> None:
+    """Refuse ``record`` unless it reproduces the latest same-size fingerprint.
+
+    An empty, missing or unreadable history pins nothing (``append_record``
+    starts it afresh), so the first record of either size always lands.
+    """
+    try:
+        history = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError):
+        return
+    pinned = [
+        previous
+        for previous in history.get("records", [])
+        if previous.get("quick") == record["quick"]
+    ]
+    if pinned and pinned[-1]["fingerprint"] != record["fingerprint"]:
+        size = "quick" if record["quick"] else "full"
+        raise RuntimeError(
+            f"simulated fingerprint moved: this {size} flash crowd hashes to "
+            f"{record['fingerprint']} but the latest {size} record in {path.name} "
+            f"('{pinned[-1].get('label')}') pinned {pinned[-1]['fingerprint']}; "
+            "nothing was recorded"
+        )
+
+
 def run(quick: bool = False, label: str | None = None) -> dict:
     first = _serve_pair(quick)
     second = _serve_pair(quick)
@@ -152,7 +180,9 @@ def run(quick: bool = False, label: str | None = None) -> dict:
         "replay": first,
     }
 
-    append_record(RESULT_PATH, record)
+    append_record(
+        RESULT_PATH, record, reference_check=lambda: check_fingerprint(RESULT_PATH, record)
+    )
 
     replay = record["replay"]
     concurrency = replay["simulated"]["contended"]["concurrency"]

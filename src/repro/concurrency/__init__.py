@@ -12,8 +12,8 @@ that gap:
   :class:`~repro.serving.ServingConfig`.
 * :mod:`repro.concurrency.arbiter` -- the deterministic processor-sharing
   :class:`FairShareArbiter`: an op overlapping ``k`` peers on a resource of
-  capacity ``c < k`` progresses at rate ``c/k``, recomputed at every
-  entry/exit boundary.
+  capacity ``c < k`` progresses at rate ``c/k``, recomputed whenever a
+  share the op holds moves.
 * :mod:`repro.concurrency.interleave` -- the discrete-event interleaver: a
   completion stage for the serving kernel that decomposes each admitted
   unit's replay into timed sub-events and merges all in-flight queries'

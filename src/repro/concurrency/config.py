@@ -14,7 +14,9 @@ the serialized loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Dict, Optional
 
 __all__ = ["ContentionConfig", "ConcurrencyConfig"]
@@ -49,8 +51,13 @@ class ContentionConfig:
     def __post_init__(self) -> None:
         for name in ("queue_capacity", "topic_capacity", "bucket_capacity", "faas_invocations"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive (or None for infinite); got {value!r}")
+            if value is not None and not (
+                isinstance(value, Real) and math.isfinite(value) and value > 0
+            ):
+                raise ValueError(
+                    f"{name} must be a positive finite number (use None for infinite); "
+                    f"got {value!r}"
+                )
 
     @property
     def is_bounded(self) -> bool:

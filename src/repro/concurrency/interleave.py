@@ -74,8 +74,9 @@ class _OpCollector:
 
 
 #: a completion event for the kernel's heap: ``(time, payload)``.  A payload
-#: is ``(chain, generation)`` for a chain boundary, or ``(None, namespace)``
-#: for a unit with nothing to contend for.
+#: is the arbiter's own ``(time, generation, chain)`` event for a chain
+#: boundary (re-used, not re-packed: a moved share hands back one event per
+#: peer), or ``(time, namespace, None)`` for a unit with nothing to contend for.
 _Event = Tuple[float, tuple]
 
 
@@ -120,15 +121,16 @@ class _ContendedCompletion:
         if not latency > 0.0:
             # Degenerate zero-latency unit: nothing to contend for.
             self._chains.append(None)
-            return [(at + latency, (None, namespace))]
+            when = at + latency
+            return [(when, (when, namespace, None))]
         chain, reschedules = self.arbiter.admit(self._collector.ops, at, latency)
         self._chains.append(chain)
         self._namespace_of[chain.key] = namespace
-        return [(when, (peer, generation)) for when, generation, peer in reschedules]
+        return [(event[0], event) for event in reschedules]
 
     def on_event(self, payload: tuple, now: float) -> Tuple[bool, Sequence[_Event]]:
         """Process one completion event: ``(slot released, further events)``."""
-        chain, tag = payload
+        _, tag, chain = payload
         more: Sequence[_Event] = ()
         if chain is None:
             namespace = tag
@@ -137,7 +139,7 @@ class _ContendedCompletion:
             if result is None:
                 return False, more  # stale: the chain was rescheduled meanwhile
             finished, reschedules = result
-            more = [(when, (peer, generation)) for when, generation, peer in reschedules]
+            more = [(event[0], event) for event in reschedules]
             if not finished:
                 return False, more  # internal boundary crossing: no admission change
             namespace = self._namespace_of.pop(chain.key)
@@ -159,6 +161,7 @@ def interleaved_serve(server, workload: SporadicWorkload):
     assert concurrency is not None
     stage = _ContendedCompletion(server.backend, concurrency.contention)
     report = server.run_event_loop(workload, completion=stage)
+    report.concurrency_diagnostics = stage.arbiter.work_counts()
     # The "concurrency" summary key is opt-in twice over: only a *bounded*
     # contention config can stretch a timeline, so only a bounded config adds
     # it -- an unbounded interleaved serve is observationally identical to

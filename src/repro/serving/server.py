@@ -279,6 +279,12 @@ class ServingReport:
     #: serves and on unbounded interleaved serves, so those keep their
     #: historical summary fingerprints byte-for-byte.
     concurrency_stats: Optional[Dict[str, object]] = field(default=None, compare=False)
+    #: the fair-share arbiter's host-side work counters
+    #: (:meth:`~repro.concurrency.FairShareArbiter.work_counts`) from any
+    #: interleaved serve; diagnostics only -- in no summary or fingerprint.
+    concurrency_diagnostics: Optional[Dict[str, int]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         # sorted-latency memo: (record count, ascending latency array); the

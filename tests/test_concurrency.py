@@ -16,6 +16,9 @@ Locks the subsystem's four contracts:
 """
 
 import heapq
+import importlib.util
+import json
+from pathlib import Path
 
 import pytest
 
@@ -178,12 +181,66 @@ class TestFairShareArbiter:
             arbiter.admit([], 0.0, 0.0)
 
 
+class TestArbiterEconomy:
+    """Per-event work follows the shares that moved, not the chains in flight."""
+
+    def test_peer_rerated_only_when_its_share_moves(self):
+        """B is advanced at every boundary of A that touches "faas" but
+        re-rated only when A's "faas" weight actually changes.
+
+        B holds "faas" for 1000 s.  A (admitted at t=10) starts one
+        invocation 10 s in, runs 50 private-queue ops inside it, ends it and
+        idles 10 s.  Each of the 100 queue boundaries makes A leave and
+        re-enter "faas" at weight 1: B must be advanced there (the float
+        sequence is contractual) but its share has not moved.
+        """
+        arbiter = FairShareArbiter(ContentionConfig(faas_invocations=1.0))
+        ops_a = [("faas", 20.0, 130.0)]
+        ops_a += [("queue:qA:work", 21.0 + 2 * i, 22.0 + 2 * i) for i in range(50)]
+        finishes = _pump(
+            arbiter,
+            [(0.0, "B", [("faas", 0.0, 1000.0)], 1000.0), (10.0, "A", ops_a, 140.0)],
+        )
+        # A shares "faas" for its whole 110 s invocation: it takes 220 s.
+        assert finishes["A"] == pytest.approx((260.0, 110.0))
+        assert arbiter.work_counts() == {
+            # A: 102 internal crossings + its finish; B: its finish.
+            "events": 104,
+            # B's boundary event was superseded when A took and released "faas".
+            "stale_events": 2,
+            # "faas" start, 100 queue boundaries, "faas" end.
+            "peer_advances": 102,
+            "peer_rerates": 2,
+            "reschedules": 106,
+        }
+
+    def test_diagnostics_ride_on_the_report_unfingerprinted(self, tiny_model):
+        report = InferenceServer(
+            _queue_backend(tiny_model),
+            ServingConfig(concurrency=ConcurrencyConfig(contention=BOUNDED)),
+        ).serve(_flash_crowd())
+        counts = report.concurrency_diagnostics
+        assert counts["peer_rerates"] > 0
+        assert counts["reschedules"] == counts["events"] + counts["stale_events"]
+        assert "events" not in report.summary()["concurrency"]
+        assert "concurrency_diagnostics" not in report.summary()
+        serialized = InferenceServer(_queue_backend(tiny_model)).serve(_flash_crowd())
+        assert serialized.concurrency_diagnostics is None
+
+
 class TestConfigValidation:
     def test_contention_capacities_must_be_positive(self):
         with pytest.raises(ValueError, match="queue_capacity"):
             ContentionConfig(queue_capacity=0.0)
         with pytest.raises(ValueError, match="faas_invocations"):
             ContentionConfig(faas_invocations=-1.0)
+        # Infinite capacity is spelled None: inf would report is_bounded and
+        # put "Infinity" into summaries; a str used to die in the comparison.
+        for bad in (float("inf"), float("nan"), "4", [4.0]):
+            with pytest.raises(ValueError, match="faas_invocations.*None for infinite"):
+                ContentionConfig(faas_invocations=bad)
+        with pytest.raises(ValueError, match="bucket_capacity"):
+            ContentionConfig(bucket_capacity=float("inf"))
 
     def test_is_bounded(self):
         assert not ContentionConfig().is_bounded
@@ -440,3 +497,28 @@ class TestCampaignAxis:
                 chaos_sets={"faulty": ChaosConfig(plan=FaultPlan())},
                 concurrency_sets=CONTENDED_SETS,
             )
+
+
+class TestBenchFingerprintGate:
+    """``bench_concurrency.py`` refuses to record a fingerprint that moved."""
+
+    @pytest.fixture(scope="class")
+    def bench(self):
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_concurrency.py"
+        spec = importlib.util.spec_from_file_location("bench_concurrency", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_moved_fingerprint_is_refused_naming_both_hashes(self, bench, tmp_path):
+        history = tmp_path / "BENCH_concurrency.json"
+        bench.check_fingerprint(history, {"quick": True, "fingerprint": "aaaa"})  # no history yet
+        records = [
+            {"label": "seed", "quick": True, "fingerprint": "aaaa"},
+            {"label": "seed-full", "quick": False, "fingerprint": "bbbb"},
+        ]
+        history.write_text(json.dumps({"records": records}))
+        bench.check_fingerprint(history, {"quick": True, "fingerprint": "aaaa"})
+        bench.check_fingerprint(history, {"quick": False, "fingerprint": "bbbb"})
+        with pytest.raises(RuntimeError, match="hashes to bbbb .*'seed'.* pinned aaaa"):
+            bench.check_fingerprint(history, {"quick": True, "fingerprint": "bbbb"})
