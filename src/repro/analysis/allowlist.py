@@ -71,17 +71,6 @@ ALLOWLIST: Tuple[AllowlistEntry, ...] = (
     ),
     AllowlistEntry(
         rule="DET007",
-        path_suffix="repro/baselines/server.py",
-        symbol="_FORWARD_FLOPS_MEMO",
-        rationale=(
-            "Identity-keyed flop-count memo: the value is a deterministic "
-            "function of the pinned (model, batch) objects, so a racing "
-            "recompute stores the identical float; bounded LRU, no simulated "
-            "state."
-        ),
-    ),
-    AllowlistEntry(
-        rule="DET007",
         path_suffix="repro/cloud/pricing.py",
         symbol="EC2_HOURLY_PRICES",
         rationale="Read-only price book; written once at import, never mutated.",

@@ -7,22 +7,24 @@ is not available here, so the baseline is modelled on the same virtual-time
 substrate: per-layer compute is spread over MPI ranks with an HPC-grade
 per-core throughput and parallel efficiency, and the partition plan's
 communication volume crosses a microsecond-latency, tens-of-GB/s
-interconnect.  No cost is reported, matching the paper ("cost information is
-not available for H-SpFF").
+interconnect.  The per-layer flop counts and activation sizes come from the
+model's memoised :class:`~repro.model.ForwardProfile` of the batch, the
+transferred rows from the partition plan -- no forward pass runs per query.
+No cost is reported, matching the paper ("cost information is not available
+for H-SpFF").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
-import numpy as np
 from scipy import sparse
 
 from ..cloud import LatencyModel
 from ..model import SparseDNN
 from ..partitioning import HypergraphPartitioner, PartitionPlan
-from ..sparse import as_csr, flop_count_spmm
+from ..sparse import as_csr
 
 __all__ = ["HPCQueryResult", "run_hpc_query"]
 
@@ -54,31 +56,38 @@ def run_hpc_query(
     latency: Optional[LatencyModel] = None,
     plan: Optional[PartitionPlan] = None,
 ) -> HPCQueryResult:
-    """Simulate one batch of H-SpFF inference with ``ranks`` MPI ranks."""
+    """Simulate one batch of H-SpFF inference with ``ranks`` MPI ranks.
+
+    ``plan`` must have been built for this model and ``ranks`` workers;
+    without one (and ``ranks > 1``) the model is partitioned here.
+    """
     if ranks < 1:
         raise ValueError("ranks must be at least 1")
     latency = latency or LatencyModel()
     batch = as_csr(batch)
     if plan is None and ranks > 1:
         plan = HypergraphPartitioner().partition(model, ranks)
+    if plan is not None:
+        if plan.num_workers != ranks:
+            raise ValueError(
+                f"plan.num_workers is {plan.num_workers} but ranks is {ranks}: "
+                "the plan was built for a different rank count"
+            )
+        if len(plan.comm_maps) != model.num_layers:
+            raise ValueError(
+                f"plan covers {len(plan.comm_maps)} layers but model '{model.name}' "
+                f"has {model.num_layers}: the plan was built for a different model"
+            )
 
+    profile = model.forward_profile(batch)
     compute_seconds = 0.0
     communication_seconds = 0.0
-    activations = batch
-    for layer, (weight, bias) in enumerate(zip(model.weights, model.biases)):
-        flops = flop_count_spmm(weight, activations) + 2.0 * weight.nnz
+    for layer, weight in enumerate(model.weights):
+        flops = profile.spmm_flops[layer] + 2.0 * weight.nnz
         compute_seconds += latency.hpc_compute(flops, ranks)
 
-        pre = weight @ activations
-        pre.data = pre.data + bias
-        pre.eliminate_zeros()
-        np.maximum(pre.data, 0.0, out=pre.data)
-        if model.activation_cap is not None:
-            np.minimum(pre.data, model.activation_cap, out=pre.data)
-        pre.eliminate_zeros()
-
         if plan is not None and ranks > 1:
-            avg_row_nnz = activations.nnz / max(activations.shape[0], 1)
+            avg_row_nnz = profile.input_nnz[layer] / max(model.num_neurons, 1)
             rows_exchanged = plan.comm_maps[layer].total_rows_transferred()
             bytes_exchanged = rows_exchanged * avg_row_nnz * _BYTES_PER_TRANSFERRED_VALUE
             # Transfers are spread over the ranks; each rank also pays a
@@ -86,8 +95,6 @@ def run_hpc_query(
             pairs = plan.comm_maps[layer].message_pairs()
             communication_seconds += latency.hpc_transfer(bytes_exchanged / ranks)
             communication_seconds += latency.hpc_interconnect_latency_seconds * (pairs / ranks)
-
-        activations = pre
 
     total = compute_seconds + communication_seconds
     return HPCQueryResult(

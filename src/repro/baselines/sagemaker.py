@@ -10,7 +10,9 @@ FSD-Inf-Serial even where it does run (Table II).
 The baseline reproduces those resource envelopes on the simulated substrate:
 requests are sized to the payload cap, executed sequentially, billed per
 invocation and per GB-second, and rejected when the model exceeds the
-endpoint memory or a request exceeds the runtime limit.
+endpoint memory or a request exceeds the runtime limit.  A request's flop
+count is read off the model's memoised :class:`~repro.model.ForwardProfile`
+of its column slice; no forward pass runs per request.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
 from scipy import sparse
 
 from ..cloud import CloudEnvironment, CloudError, SERVICE_ENDPOINT
 from ..cloud.faas import MEMORY_MB_PER_VCPU
 from ..model import SparseDNN
-from ..sparse import as_csr, csr_nbytes, flop_count_spmm
+from ..sparse import as_csr, csr_nbytes
 
 __all__ = [
     "EndpointLimits",
@@ -122,19 +123,11 @@ def run_endpoint_query(
     cursor = 0
     while cursor < samples:
         stop = min(samples, cursor + samples_per_request)
-        sub_batch = batch[:, cursor:stop]
+        whole = cursor == 0 and stop == samples
+        profile = model.forward_profile(batch if whole else batch[:, cursor:stop])
         flops = 0.0
-        activations = sub_batch
-        for weight, bias in zip(model.weights, model.biases):
-            flops += flop_count_spmm(weight, activations) + 2.0 * weight.nnz
-            pre = weight @ activations
-            pre.data = pre.data + bias
-            pre.eliminate_zeros()
-            np.maximum(pre.data, 0.0, out=pre.data)
-            if model.activation_cap is not None:
-                np.minimum(pre.data, model.activation_cap, out=pre.data)
-            pre.eliminate_zeros()
-            activations = pre
+        for spmm_flops, weight in zip(profile.spmm_flops, model.weights):
+            flops += spmm_flops + 2.0 * weight.nnz
         runtime = limits.max_runtime_seconds + 1 if vcpus <= 0 else (
             latency_model.endpoint_overhead_seconds + latency_model.endpoint_compute(flops, vcpus)
         )

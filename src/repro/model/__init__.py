@@ -1,6 +1,6 @@
 """Sparse DNN model objects and their (de)serialisation."""
 
-from .network import LayerStats, SparseDNN
+from .network import ForwardProfile, LayerStats, SparseDNN
 from .serialization import (
     deserialize_csr,
     load_layer_rows,
@@ -10,6 +10,7 @@ from .serialization import (
 )
 
 __all__ = [
+    "ForwardProfile",
     "LayerStats",
     "SparseDNN",
     "deserialize_csr",

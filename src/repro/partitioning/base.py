@@ -25,6 +25,18 @@ class Partitioner(ABC):
     def assign(self, model: SparseDNN, num_workers: int) -> np.ndarray:
         """Return ``owner``: an int array of length ``model.num_neurons``."""
 
+    def plan_key(self, num_workers: int) -> tuple:
+        """Hashable identity of the plan ``partition(model, num_workers)`` builds.
+
+        Two partitioners of one type with equal parameters build the same
+        plan for a model, so a plan cache carried by the model (see
+        ``SparseDNN.partition_plan_cache``) keys on this, not on the
+        partitioner object.  The parameters are the instance attributes; a
+        subclass that also keeps run-time state on the instance overrides
+        this to leave it out.
+        """
+        return (type(self), tuple(sorted(vars(self).items())), num_workers)
+
     def partition(self, model: SparseDNN, num_workers: int) -> PartitionPlan:
         """Assign ownership and derive the full :class:`PartitionPlan`."""
         if num_workers < 1:

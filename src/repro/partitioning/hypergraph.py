@@ -91,6 +91,17 @@ class HypergraphPartitioner(Partitioner):
 
     # -- public API ------------------------------------------------------------------
 
+    def plan_key(self, num_workers: int) -> tuple:
+        # ``last_quality`` is a diagnostic of the latest run, not an input.
+        parameters = (
+            self.epsilon,
+            self.clusters_per_part,
+            self.refinement_passes,
+            self.max_moves_fraction,
+            self.seed,
+        )
+        return (type(self), parameters, num_workers)
+
     def assign(self, model: SparseDNN, num_workers: int) -> np.ndarray:
         adjacency = aggregate_connectivity(model)
         vertex_weights = self._vertex_weights(model)

@@ -20,7 +20,7 @@ provides them to each worker before inference starts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -42,13 +42,22 @@ class LayerCommMaps:
 
     send: List[Dict[int, np.ndarray]]
     recv: List[Dict[int, np.ndarray]]
+    #: aggregates of the (static) send maps, computed on first use.
+    _total_rows: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    _message_pairs: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def total_rows_transferred(self) -> int:
-        return int(sum(len(rows) for worker in self.send for rows in worker.values()))
+        if self._total_rows is None:
+            self._total_rows = int(
+                sum(len(rows) for worker in self.send for rows in worker.values())
+            )
+        return self._total_rows
 
     def message_pairs(self) -> int:
         """Number of (source, target) pairs that exchange data in this layer."""
-        return sum(len(worker) for worker in self.send)
+        if self._message_pairs is None:
+            self._message_pairs = sum(len(worker) for worker in self.send)
+        return self._message_pairs
 
 
 @dataclass(frozen=True)

@@ -552,7 +552,13 @@ class EndpointServingBackend(OutcomeCacheMixin, ServingBackend):
 
 
 class HPCServingBackend(OutcomeCacheMixin, ServingBackend):
-    """H-SpFF on the shared scheduler (latency only; the paper has no cost)."""
+    """H-SpFF on the shared scheduler (latency only; the paper has no cost).
+
+    The partition plan is looked up on the model (``partition_plan_cache``,
+    keyed by the partitioner's type, parameters and the rank count), so
+    backends that share a model object -- the cells of a campaign over
+    prepared workloads -- partition it once between them.
+    """
 
     def __init__(
         self,
@@ -565,7 +571,7 @@ class HPCServingBackend(OutcomeCacheMixin, ServingBackend):
         self.factory = factory or QueryWorkloadFactory()
         self.latency = latency
         self._partitioner = partitioner or HypergraphPartitioner(seed=1)
-        self._plans: Dict[int, PartitionPlan] = {}
+        self._plan_key = self._partitioner.plan_key(ranks)
         self._intervals: List[Tuple[float, float]] = []
         self.name = f"hpc-{ranks}"
 
@@ -584,9 +590,11 @@ class HPCServingBackend(OutcomeCacheMixin, ServingBackend):
     ) -> QueryOutcome:
         plan = None
         if self.ranks > 1:
-            if query.neurons not in self._plans:
-                self._plans[query.neurons] = self._partitioner.partition(model, self.ranks)
-            plan = self._plans[query.neurons]
+            plan = model.partition_plan_cache.get(self._plan_key)
+            if plan is None:
+                # Racing threads build equal plans; either may win the slot.
+                plan = self._partitioner.partition(model, self.ranks)
+                model.partition_plan_cache[self._plan_key] = plan
         result = run_hpc_query(model, batch, self.ranks, latency=self.latency, plan=plan)
         self._intervals.append((at_time, at_time + result.latency_seconds))
         return QueryOutcome(latency_seconds=result.latency_seconds, cost=0.0, result=result)

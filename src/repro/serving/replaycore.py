@@ -49,7 +49,6 @@ event loop.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,6 +57,7 @@ from scipy import sparse
 from ..cloud.billing import CostReport, UsageRecord
 from ..cloud.faas import InvocationRecord, claim_from_pool
 from ..comm import ChannelStats
+from ..sparse.matrix import csr_digest as batch_fingerprint
 
 __all__ = [
     "CHANNEL_FIELDS",
@@ -76,17 +76,6 @@ __all__ = [
 #: to vectorize accumulation: ``sum of vecs`` is exactly ``accumulate`` folds.
 # detlint: allow[DET004] dataclass field order is declaration order, deterministic across runs
 CHANNEL_FIELDS: Tuple[str, ...] = tuple(vars(ChannelStats()).keys())
-
-
-def batch_fingerprint(batch: sparse.spmatrix) -> bytes:
-    """Content digest of a sparse input batch (shape + CSR structure + data)."""
-    csr = batch.tocsr()
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(repr(csr.shape).encode())
-    digest.update(np.ascontiguousarray(csr.indptr).tobytes())
-    digest.update(np.ascontiguousarray(csr.indices).tobytes())
-    digest.update(np.ascontiguousarray(csr.data).tobytes())
-    return digest.digest()
 
 
 def _channel_vec(stats: Optional[ChannelStats]) -> Optional[np.ndarray]:

@@ -3,6 +3,7 @@
 from .matrix import (
     RowBlock,
     as_csr,
+    csr_digest,
     csr_nbytes,
     empty_csr,
     expand_rows,
@@ -26,6 +27,7 @@ from .ops import (
 __all__ = [
     "RowBlock",
     "as_csr",
+    "csr_digest",
     "csr_nbytes",
     "empty_csr",
     "expand_rows",

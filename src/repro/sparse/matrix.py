@@ -14,6 +14,7 @@ the partitioners need on top of ``scipy.sparse``:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -26,6 +27,7 @@ __all__ = [
     "as_csr",
     "split_rows",
     "csr_nbytes",
+    "csr_digest",
     "rows_with_nonzeros",
     "empty_csr",
     "expand_rows",
@@ -75,6 +77,24 @@ def csr_nbytes(matrix: sparse.spmatrix) -> int:
     """Approximate resident bytes of a CSR/CSC matrix (data + indices + indptr)."""
     matrix = as_csr(matrix)
     return int(matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes)
+
+
+def csr_digest(matrix: sparse.spmatrix) -> bytes:
+    """Content digest of a sparse matrix (shape + CSR structure + data).
+
+    Equal stored content gives equal digests whether or not it is the same
+    object, and a matrix mutated in place digests differently -- which is why
+    content-addressed caches (replay outcomes, forward-work profiles) key on
+    it rather than on ``id()``.  The arrays are hashed through the buffer
+    protocol, without a ``tobytes()`` copy each.
+    """
+    csr = matrix.tocsr()
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(repr(csr.shape).encode())
+    digest.update(np.ascontiguousarray(csr.indptr))
+    digest.update(np.ascontiguousarray(csr.indices))
+    digest.update(np.ascontiguousarray(csr.data))
+    return digest.digest()
 
 
 def rows_with_nonzeros(matrix: sparse.csr_matrix) -> np.ndarray:

@@ -11,6 +11,7 @@ from repro.sparse import (
     accumulate_spmm,
     as_csr,
     bias_relu_threshold,
+    csr_digest,
     csr_nbytes,
     empty_csr,
     expand_rows,
@@ -397,3 +398,49 @@ def test_gather_rows_and_flop_count_accept_precomputed_row_nnz():
     assert_csr_bitwise(gather_rows(matrix, positions, row_nnz), matrix[positions, :])
     assert_csr_bitwise(gather_rows(matrix, positions), matrix[positions, :])
     assert flop_count_spmm(weights, matrix, row_nnz) == flop_count_spmm(weights, matrix)
+
+
+def _digest_with_copies(batch):
+    """``serving.replaycore.batch_fingerprint`` as it stood before ``csr_digest``."""
+    import hashlib
+
+    csr = batch.tocsr()
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(repr(csr.shape).encode())
+    digest.update(np.ascontiguousarray(csr.indptr).tobytes())
+    digest.update(np.ascontiguousarray(csr.indices).tobytes())
+    digest.update(np.ascontiguousarray(csr.data).tobytes())
+    return digest.digest()
+
+
+def test_csr_digest_bytes_are_the_historical_batch_fingerprint():
+    from repro.serving import batch_fingerprint
+    from repro.serving import replaycore
+
+    assert batch_fingerprint is csr_digest is replaycore.batch_fingerprint
+    read_only = random_csr(9, 7, 0.4, seed=5)
+    for array in (read_only.data, read_only.indices, read_only.indptr):
+        array.flags.writeable = False
+    strided = random_csr(12, 10, 0.5, seed=6)
+    strided = unsafe_csr(
+        np.repeat(strided.data, 2)[::2], strided.indices, strided.indptr, strided.shape
+    )
+    assert not strided.data.flags.c_contiguous
+    cases = [
+        random_csr(16, 5, 0.3, seed=1),
+        random_csr(16, 5, 0.3, seed=1).tocsc(),
+        random_csr(8, 3, 0.5, seed=2).astype(np.float32),
+        sparse.csr_matrix((6, 0), dtype=np.float64),
+        sparse.csr_matrix((6, 4), dtype=np.float64),
+        sparse.hstack([random_csr(8, 2, 0.5, seed=3)] * 2, format="csr"),
+        read_only,
+        strided,
+    ]
+    for matrix in cases:
+        assert csr_digest(matrix) == _digest_with_copies(matrix)
+    # Content, not identity: an equal copy agrees, an in-place edit does not.
+    batch = random_csr(16, 5, 0.3, seed=1)
+    before = csr_digest(batch)
+    assert csr_digest(batch.copy()) == before
+    batch.data[0] += 1.0
+    assert csr_digest(batch) != before
