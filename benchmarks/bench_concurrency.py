@@ -131,8 +131,9 @@ def _fingerprint(simulated: dict) -> str:
 def check_fingerprint(path: Path, record: dict) -> None:
     """Refuse ``record`` unless it reproduces the latest same-size fingerprint.
 
-    An empty, missing or unreadable history pins nothing (``append_record``
-    starts it afresh), so the first record of either size always lands.
+    A missing or unreadable history pins nothing here, so the first record
+    of either size always lands (``append_record`` starts a missing history
+    afresh and refuses an unreadable one).
     """
     try:
         history = json.loads(path.read_text())

@@ -238,13 +238,21 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
+class BenchHistoryError(RuntimeError):
+    """A benchmark history file exists but cannot be read; it was left untouched."""
+
+
 def append_record(path: Path, record: dict, reference_check=None) -> None:
     """Append one benchmark record to the JSON history file at ``path``.
 
-    Every benchmark harness shares this exact read-modify-write: a missing or
-    corrupt history starts fresh, the record is appended, and the file is
-    rewritten with a trailing newline.  ``reference_check`` is an optional
-    zero-argument callable run *before* anything is written (the serving
+    Every benchmark harness shares this exact read-modify-write: a missing
+    history starts fresh, the record is appended, and the file is replaced
+    atomically (written to a sibling temp file, then ``os.replace``d) with a
+    trailing newline, so an interrupted run never leaves a truncated history.
+    A history that exists but does not parse raises :class:`BenchHistoryError`
+    and stays byte-for-byte as it was: starting fresh would silently discard
+    every earlier record.  ``reference_check`` is an optional zero-argument
+    callable run *before* anything is written (the serving
     reference-fingerprint assertions of bench_campaign/bench_planner), so a
     failed cross-benchmark invariant leaves the history untouched.
     """
@@ -254,10 +262,15 @@ def append_record(path: Path, record: dict, reference_check=None) -> None:
     if path.exists():
         try:
             history = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            pass
+        except (json.JSONDecodeError, OSError) as exc:
+            raise BenchHistoryError(
+                f"cannot read benchmark history {path} ({exc}); it was left "
+                "untouched -- repair or move it aside, then rerun"
+            ) from exc
     history.setdefault("records", []).append(record)
-    path.write_text(json.dumps(history, indent=2) + "\n")
+    staging = path.with_name(path.name + ".tmp")
+    staging.write_text(json.dumps(history, indent=2) + "\n")
+    os.replace(staging, path)
 
 
 def git_rev() -> str:

@@ -8,9 +8,10 @@ anything legitimately outside the pattern is suppressed with a
 pragma-with-reason or a curated allowlist entry -- never by weakening the
 rule.
 
-To add a rule: subclass :class:`Rule`, give it the next free id, implement
-``visit_*`` methods that call :meth:`Rule.report`, append the class to
-``ALL_RULES``, add a firing + non-firing fixture pair under
+To add a rule: subclass :class:`Rule`, give it the next never-used id (the
+ids of retired rules, listed in the ROADMAP table, are not reused),
+implement ``visit_*`` methods that call :meth:`Rule.report`, append the
+class to ``ALL_RULES``, add a firing + non-firing fixture pair under
 ``tests/detlint_fixtures/`` and a row to the ROADMAP table.
 """
 
@@ -69,7 +70,7 @@ MUTABLE_COLLECTIONS = frozenset(
 )
 
 #: method names that mutate their receiver in place (DET005's
-#: mutate-before-injection check).
+#: mutate-before-gate check).
 MUTATING_METHODS = frozenset(
     {
         "append",
@@ -139,7 +140,7 @@ class Rule(ast.NodeVisitor):
 
 
 def _dotted_tail(expr: ast.AST) -> Optional[str]:
-    """Textual attribute chain (``self._faults.injector``) without resolution."""
+    """Textual attribute chain (``self._hooks.injector``) without resolution."""
     parts: List[str] = []
     node = expr
     while isinstance(node, ast.Attribute):
@@ -328,26 +329,25 @@ class UnsortedIterationRule(Rule):
             )
 
 
-class InjectorGateRule(Rule):
+class HookGateRule(Rule):
     id = "DET005"
-    title = "injector use without the `is not None` gate"
+    title = "hook use without the `is not None` gate"
     invariant = (
-        "Chaos-off must be byte-identical: every fault-injection point in a "
-        "cloud service is a single `if injector is not None` check placed "
-        "after the latency advance and before any state mutation.  An "
-        "ungated injector call, or instance state mutated before the check, "
-        "breaks the chaos-off contract or leaks partial state into faulted "
-        "calls."
+        "Chaos-, telemetry- and contention-off must be byte-identical: every "
+        "injector, tracer or arbiter point in a cloud service is a single "
+        "`if <hook> is not None` check, and no instance state may be mutated "
+        "before that hook's first gate.  An ungated hook call, or a mutation "
+        "before the gate, breaks the feature-off fingerprint contract or "
+        "leaks partial state into faulted calls."
     )
 
-    #: dotted-tail last segment of the optional hook this rule gates on.
-    #: Subclasses re-target the whole machinery at another hook (DET008
-    #: checks the telemetry ``tracer`` with the identical contract).
-    hook_attr = "injector"
-    #: how the feature-off mode is named in findings ("chaos-off", ...).
-    off_label = "chaos-off"
-    #: how the gate is named in mutation-before-gate findings.
-    gate_noun = "injection check"
+    #: (hook attribute, how its feature-off mode is named in findings, how
+    #: its gate is named in mutation-before-gate findings).
+    HOOKS: Tuple[Tuple[str, str, str], ...] = (
+        ("injector", "chaos-off", "injection check"),
+        ("tracer", "telemetry-off", "telemetry gate"),
+        ("arbiter", "contention-off", "contention gate"),
+    )
 
     def applies(self, ctx: LintContext) -> bool:
         return ctx.roles.cloud_service
@@ -358,17 +358,18 @@ class InjectorGateRule(Rule):
         self._seen = set()
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._check_function(node)
+                for hook in self.HOOKS:
+                    self._check_function(node, *hook)
         return self._findings
 
-    @classmethod
-    def _is_injector_expr(cls, expr: ast.AST) -> bool:
+    @staticmethod
+    def _is_hook_expr(expr: ast.AST, hook_attr: str) -> bool:
         tail = _dotted_tail(expr)
-        return tail is not None and tail.split(".")[-1] == cls.hook_attr
+        return tail is not None and tail.split(".")[-1] == hook_attr
 
     @classmethod
-    def _gate_exprs(cls, test: ast.AST) -> List[str]:
-        """Dumps of injector expressions guarded by ``<expr> is not None``."""
+    def _gate_exprs(cls, test: ast.AST, hook_attr: str) -> List[str]:
+        """Dumps of hook expressions guarded by ``<expr> is not None``."""
         comparisons = [test]
         if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
             comparisons = list(test.values)
@@ -380,7 +381,7 @@ class InjectorGateRule(Rule):
                 and isinstance(comp.ops[0], ast.IsNot)
                 and isinstance(comp.comparators[0], ast.Constant)
                 and comp.comparators[0].value is None
-                and cls._is_injector_expr(comp.left)
+                and cls._is_hook_expr(comp.left, hook_attr)
             ):
                 gated.append(ast.dump(comp.left))
         return gated
@@ -394,12 +395,14 @@ class InjectorGateRule(Rule):
                 return name
         return None
 
-    def _check_function(self, func: ast.AST) -> None:
+    def _check_function(
+        self, func: ast.AST, hook_attr: str, off_label: str, gate_noun: str
+    ) -> None:
         assert self.ctx is not None
         gates: List[Tuple[ast.If, List[str]]] = []
         for node in self._walk_in_scope(func):
             if isinstance(node, ast.If):
-                exprs = self._gate_exprs(node.test)
+                exprs = self._gate_exprs(node.test, hook_attr)
                 if exprs:
                     gates.append((node, exprs))
 
@@ -407,20 +410,22 @@ class InjectorGateRule(Rule):
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and self._is_injector_expr(node.func.value)
+                and self._is_hook_expr(node.func.value, hook_attr)
             ):
                 if not self._is_gated(node, node.func.value, gates, func):
                     self.report(
                         node,
-                        f"{self.hook_attr} method called outside an `if "
-                        f"{self.hook_attr} is not None` gate; {self.off_label} "
+                        f"{hook_attr} method called outside an `if "
+                        f"{hook_attr} is not None` gate; {off_label} "
                         "would crash or diverge here",
                         symbol=node.func.attr,
                     )
 
+        # Each hook is checked against its own first gate: the earliest gate
+        # of any hook would let a mutation between two hooks' gates pass.
         if gates:
             first_gate_line = min(g.lineno for g, _ in gates)
-            self._check_mutations_before(func, first_gate_line)
+            self._check_mutations_before(func, first_gate_line, off_label, gate_noun)
 
     @staticmethod
     def _walk_in_scope(func: ast.AST):
@@ -435,12 +440,12 @@ class InjectorGateRule(Rule):
     def _is_gated(
         self,
         use: ast.AST,
-        injector_expr: ast.AST,
+        hook_expr: ast.AST,
         gates: List[Tuple[ast.If, List[str]]],
         func: ast.AST,
     ) -> bool:
         assert self.ctx is not None
-        want = ast.dump(injector_expr)
+        want = ast.dump(hook_expr)
         node: ast.AST = use
         while node is not func:
             parent = self.ctx.parent_of(node)
@@ -460,7 +465,9 @@ class InjectorGateRule(Rule):
             node = node.value
         return isinstance(node, ast.Name) and node.id == "self"
 
-    def _check_mutations_before(self, func: ast.AST, gate_line: int) -> None:
+    def _check_mutations_before(
+        self, func: ast.AST, gate_line: int, off_label: str, gate_noun: str
+    ) -> None:
         for node in self._walk_in_scope(func):
             line = getattr(node, "lineno", gate_line)
             if line >= gate_line:
@@ -471,8 +478,8 @@ class InjectorGateRule(Rule):
                     if isinstance(target, (ast.Attribute, ast.Subscript)) and self._is_self_attribute(target):
                         self.report(
                             node,
-                            f"instance state mutated before the {self.gate_noun}; "
-                            f"a {self.off_label} divergence or partial mutation "
+                            f"instance state mutated before the {gate_noun}; "
+                            f"a {off_label} divergence or partial mutation "
                             "could be observed",
                             symbol="mutation-before-gate",
                         )
@@ -485,43 +492,11 @@ class InjectorGateRule(Rule):
             ):
                 self.report(
                     node,
-                    f"container on self mutated before the {self.gate_noun}; "
-                    f"a {self.off_label} divergence or partial mutation "
+                    f"container on self mutated before the {gate_noun}; "
+                    f"a {off_label} divergence or partial mutation "
                     "could be observed",
                     symbol="mutation-before-gate",
                 )
-
-
-class TracerGateRule(InjectorGateRule):
-    id = "DET008"
-    title = "tracer use without the `is not None` gate"
-    invariant = (
-        "Telemetry-off must be byte-identical: every instrumentation point "
-        "in a cloud service is a single `if tracer is not None` check, and "
-        "no instance state may be mutated before the telemetry decision.  "
-        "An ungated tracer call, or a mutation before the gate, breaks the "
-        "telemetry-off fingerprint contract."
-    )
-
-    hook_attr = "tracer"
-    off_label = "telemetry-off"
-    gate_noun = "telemetry gate"
-
-
-class ArbiterGateRule(InjectorGateRule):
-    id = "DET009"
-    title = "arbiter use without the `is not None` gate"
-    invariant = (
-        "Contention-off must be byte-identical: every contention hook in a "
-        "cloud service is a single `if arbiter is not None` check, and no "
-        "instance state may be mutated before the contention decision.  An "
-        "ungated arbiter call, or a mutation before the gate, breaks the "
-        "serialized-replay fingerprint contract of the concurrency engine."
-    )
-
-    hook_attr = "arbiter"
-    off_label = "contention-off"
-    gate_noun = "contention gate"
 
 
 class ClosureFactoryRule(Rule):
@@ -728,11 +703,9 @@ ALL_RULES: Tuple[type, ...] = (
     UnseededRandomnessRule,
     ShadowedRngRule,
     UnsortedIterationRule,
-    InjectorGateRule,
+    HookGateRule,
     ClosureFactoryRule,
     ModuleMutableStateRule,
-    TracerGateRule,
-    ArbiterGateRule,
 )
 
 ALL_RULE_IDS: frozenset = frozenset({"DET000"} | {rule.id for rule in ALL_RULES})

@@ -111,7 +111,10 @@ def run_endpoint_query(
         )
 
     payload_per_sample = _per_sample_payload_bytes(batch)
-    samples_per_request = max(1, int(limits.max_payload_bytes // payload_per_sample))
+    # A zero-sample batch has no payload to size requests by: it sends none.
+    samples_per_request = (
+        max(1, int(limits.max_payload_bytes // payload_per_sample)) if samples else 0
+    )
     vcpus = limits.memory_mb / MEMORY_MB_PER_VCPU
     latency_model = cloud.latency
     prices = cloud.prices
@@ -155,7 +158,7 @@ def run_endpoint_query(
         )
         cursor = stop
 
-    if processed == 0:
+    if processed == 0 and samples:
         raise EndpointInfeasibleError(
             f"no request of model '{model.name}' completes within the "
             f"{limits.max_runtime_seconds:.0f}s endpoint runtime limit"

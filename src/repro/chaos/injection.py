@@ -1,9 +1,9 @@
 """The runtime half of the chaos layer: consuming a materialised fault plan.
 
 A :class:`FaultInjector` is built once per serve from a
-:class:`~repro.chaos.FaultPlan` and installed on a
-:class:`~repro.cloud.CloudEnvironment`'s fault domain.  The cloud services
-then consult it from their interception points:
+:class:`~repro.chaos.FaultPlan` and mounted as the ``injector`` hook of a
+:class:`~repro.cloud.CloudEnvironment` (:class:`~repro.cloud.ServiceHooks`).
+The cloud services then consult it from their interception points:
 
 * ``check(service, operation, resource, now)`` -- queues, topics, buckets
   and volumes call this after advancing the wire-latency clock; if a

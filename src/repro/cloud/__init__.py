@@ -38,7 +38,6 @@ from .errors import (
     ThrottlingError,
     TransientServiceError,
 )
-from .faults import FaultDomain
 from .faas import (
     FaaSPlatform,
     FunctionConfig,
@@ -48,6 +47,7 @@ from .faas import (
     MEMORY_MB_PER_VCPU,
     MIN_MEMORY_MB,
 )
+from .hooks import ServiceHooks
 from .objectstore import Bucket, ObjectHandle, ObjectStorageService, StoredObject
 from .pricing import EC2_HOURLY_PRICES, EC2_INSTANCE_SPECS, PriceBook
 from .pubsub import (
@@ -65,7 +65,6 @@ from .queues import (
     QueueMessage,
     QueueService,
 )
-from .telemetry import TelemetryDomain
 from .timing import JitterModel, LatencyModel, VirtualClock, merge_latency_overrides
 from .vm import InstanceSpec, VirtualMachine, VMService
 
@@ -87,8 +86,7 @@ __all__ = [
     "AccessDeniedError",
     "BatchTooLargeError",
     "ConcurrencyLimitError",
-    "FaultDomain",
-    "TelemetryDomain",
+    "ServiceHooks",
     "FunctionPreemptedError",
     "FunctionTimeoutError",
     "InvalidRequestError",

@@ -16,6 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
+from .hooks import ServiceHooks
 from .pricing import PriceBook
 
 __all__ = [
@@ -95,11 +96,12 @@ class CostReport:
 class BillingLedger:
     """Accumulates :class:`UsageRecord` entries and produces cost reports."""
 
-    def __init__(self, price_book: Optional[PriceBook] = None, telemetry=None):
+    def __init__(
+        self, price_book: Optional[PriceBook] = None, hooks: Optional[ServiceHooks] = None
+    ):
         self.price_book = price_book or PriceBook()
         self._records: List[UsageRecord] = []
-        #: shared TelemetryDomain (see cloud.telemetry); None on bare ledgers.
-        self._telemetry = telemetry
+        self._hooks = hooks or ServiceHooks()
 
     # -- recording -----------------------------------------------------------
 
@@ -125,7 +127,7 @@ class BillingLedger:
             cost=cost,
             timestamp=timestamp,
         )
-        tracer = None if self._telemetry is None else self._telemetry.tracer
+        tracer = self._hooks.tracer
         if tracer is not None:
             tracer.counter_add("cloud.cost_usd", cost, timestamp)
         self._records.append(record)

@@ -15,9 +15,8 @@ from typing import Dict, List, Optional
 
 from .billing import SERVICE_BLOCK, BillingLedger
 from .errors import InvalidRequestError, ResourceAlreadyExistsError, ResourceNotFoundError
-from .faults import FaultDomain
+from .hooks import ServiceHooks
 from .pricing import PriceBook
-from .telemetry import TelemetryDomain
 from .timing import LatencyModel, VirtualClock
 
 __all__ = ["BlockVolume", "BlockStorageService"]
@@ -35,8 +34,7 @@ class BlockVolume:
         ledger: BillingLedger,
         latency: LatencyModel,
         prices: PriceBook,
-        faults: Optional[FaultDomain] = None,
-        telemetry: Optional[TelemetryDomain] = None,
+        hooks: Optional[ServiceHooks] = None,
     ):
         if size_gb <= 0:
             raise InvalidRequestError("volume size must be positive")
@@ -45,8 +43,7 @@ class BlockVolume:
         self._ledger = ledger
         self._latency = latency
         self._prices = prices
-        self._faults = faults or FaultDomain()
-        self._telemetry = telemetry or TelemetryDomain()
+        self._hooks = hooks or ServiceHooks()
         self.total_bytes_read = 0
 
     def read(self, size_bytes: int, clock: VirtualClock) -> float:
@@ -55,10 +52,10 @@ class BlockVolume:
             raise InvalidRequestError("cannot read a negative number of bytes")
         duration = self._latency.block_read(size_bytes)
         clock.advance(duration)
-        injector = self._faults.injector
+        injector = self._hooks.injector
         if injector is not None:
             injector.check("block", "read", self.name, clock.now)
-        tracer = self._telemetry.tracer
+        tracer = self._hooks.tracer
         if tracer is not None:
             tracer.channel_op("block", "read", self.name, clock.now, bytes=size_bytes)
         self.total_bytes_read += size_bytes
@@ -92,14 +89,12 @@ class BlockStorageService:
         ledger: BillingLedger,
         latency: LatencyModel,
         prices: PriceBook,
-        faults: Optional[FaultDomain] = None,
-        telemetry: Optional[TelemetryDomain] = None,
+        hooks: Optional[ServiceHooks] = None,
     ):
         self._ledger = ledger
         self._latency = latency
         self._prices = prices
-        self._faults = faults or FaultDomain()
-        self._telemetry = telemetry or TelemetryDomain()
+        self._hooks = hooks or ServiceHooks()
         self._volumes: Dict[str, BlockVolume] = {}
 
     def create_volume(self, name: str, size_gb: float) -> BlockVolume:
@@ -111,8 +106,7 @@ class BlockStorageService:
             self._ledger,
             self._latency,
             self._prices,
-            faults=self._faults,
-            telemetry=self._telemetry,
+            hooks=self._hooks,
         )
         self._volumes[name] = volume
         return volume

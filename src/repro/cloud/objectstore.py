@@ -30,10 +30,8 @@ from .errors import (
     ResourceAlreadyExistsError,
     ResourceNotFoundError,
 )
-from .contention import ContentionDomain
-from .faults import FaultDomain
+from .hooks import ServiceHooks
 from .pricing import PriceBook
-from .telemetry import TelemetryDomain
 from .timing import LatencyModel, VirtualClock
 
 __all__ = ["StoredObject", "ObjectHandle", "Bucket", "ObjectStorageService"]
@@ -70,17 +68,13 @@ class Bucket:
         ledger: BillingLedger,
         latency: LatencyModel,
         prices: PriceBook,
-        faults: Optional[FaultDomain] = None,
-        telemetry: Optional[TelemetryDomain] = None,
-        contention: Optional[ContentionDomain] = None,
+        hooks: Optional[ServiceHooks] = None,
     ):
         self.name = name
         self._ledger = ledger
         self._latency = latency
         self._prices = prices
-        self._faults = faults or FaultDomain()
-        self._telemetry = telemetry or TelemetryDomain()
-        self._contention = contention or ContentionDomain()
+        self._hooks = hooks or ServiceHooks()
         self._objects: Dict[str, StoredObject] = {}
         self.total_put_requests = 0
         self.total_get_requests = 0
@@ -108,13 +102,13 @@ class Bucket:
             raise InvalidRequestError("object key cannot be empty")
         duration = self._latency.object_put(len(data))
         clock.advance(duration)
-        injector = self._faults.injector
+        injector = self._hooks.injector
         if injector is not None:
             injector.check("object", "put", self.name, clock.now)
-        tracer = self._telemetry.tracer
+        tracer = self._hooks.tracer
         if tracer is not None:
             tracer.channel_op("object", "put", self.name, clock.now, bytes=len(data))
-        arbiter = self._contention.arbiter
+        arbiter = self._hooks.arbiter
         if arbiter is not None:
             arbiter.channel_op("object", "put", self.name, clock.now, duration)
         self._objects[key] = StoredObject(key=key, data=bytes(data), visible_at=clock.now)
@@ -144,24 +138,25 @@ class Bucket:
         is not yet visible at the caller's current virtual time.
         """
         # The tracer gate sits before the injector block: the fault branches
-        # below mutate request counters, and the DET008 contract requires
-        # every instance mutation to happen after the telemetry decision.
-        # The op is stamped at request-issue time (pre-advance) accordingly.
-        tracer = self._telemetry.tracer
+        # below mutate request counters, and DET005 requires every instance
+        # mutation to happen after each hook's gate (the telemetry decision
+        # included).  The op is stamped at request-issue time (pre-advance)
+        # accordingly.
+        tracer = self._hooks.tracer
         if tracer is not None:
             tracer.channel_op("object", "get", self.name, clock.now)
-        # Same DET009 discipline: the arbiter gate precedes the mutating
+        # Same discipline for the arbiter: its gate precedes the mutating
         # branches below, so the transfer span is computed from a pure probe
         # of the store (visibility uses the same pre-advance clock as the
         # 404 check).  Chaos and concurrency are mutually exclusive, so the
         # injector's fault path never runs while the arbiter is armed.
-        arbiter = self._contention.arbiter
+        arbiter = self._hooks.arbiter
         if arbiter is not None:
             probe = self._objects.get(key)
             visible = probe is not None and probe.visible_at <= clock.now
             duration = self._latency.object_get(probe.size_bytes if visible else 0)
             arbiter.channel_op("object", "get", self.name, clock.now + duration, duration)
-        injector = self._faults.injector
+        injector = self._hooks.injector
         if injector is not None:
             try:
                 injector.check("object", "get", self.name, clock.now)
@@ -189,10 +184,10 @@ class Bucket:
         """List visible objects under ``prefix``; bills one LIST request."""
         duration = self._latency.object_list()
         clock.advance(duration)
-        tracer = self._telemetry.tracer
+        tracer = self._hooks.tracer
         if tracer is not None:
             tracer.channel_op("object", "list", self.name, clock.now)
-        arbiter = self._contention.arbiter
+        arbiter = self._hooks.arbiter
         if arbiter is not None:
             arbiter.channel_op("object", "list", self.name, clock.now, duration)
         self.total_list_requests += 1
@@ -244,16 +239,12 @@ class ObjectStorageService:
         ledger: BillingLedger,
         latency: LatencyModel,
         prices: PriceBook,
-        faults: Optional[FaultDomain] = None,
-        telemetry: Optional[TelemetryDomain] = None,
-        contention: Optional[ContentionDomain] = None,
+        hooks: Optional[ServiceHooks] = None,
     ):
         self._ledger = ledger
         self._latency = latency
         self._prices = prices
-        self._faults = faults or FaultDomain()
-        self._telemetry = telemetry or TelemetryDomain()
-        self._contention = contention or ContentionDomain()
+        self._hooks = hooks or ServiceHooks()
         self._buckets: Dict[str, Bucket] = {}
 
     def create_bucket(self, name: str) -> Bucket:
@@ -264,9 +255,7 @@ class ObjectStorageService:
             self._ledger,
             self._latency,
             self._prices,
-            faults=self._faults,
-            telemetry=self._telemetry,
-            contention=self._contention,
+            hooks=self._hooks,
         )
         self._buckets[name] = bucket
         return bucket

@@ -160,7 +160,7 @@ class QueueChannel(CommChannel):
         batch: List[QueueMessage] = []
         batch_bytes = 0
 
-        retry = self.cloud.faults.channel_retry
+        retry = self.cloud.hooks.channel_retry
 
         def flush(batch_to_send: List[QueueMessage]) -> None:
             nonlocal api_calls
@@ -202,7 +202,7 @@ class QueueChannel(CommChannel):
         queue = self._queue_for(worker)
         wait = self.config.long_poll_wait_seconds if self.config.use_long_polling else 0.0
         messages = self._with_transient_retry(
-            self.cloud.faults.channel_retry,
+            self.cloud.hooks.channel_retry,
             clock,
             lambda: queue.receive(clock, max_messages=10, wait_seconds=wait),
         )

@@ -12,7 +12,7 @@ latency`` unconditionally, the stage
    serve's -- contention stretches the serving-layer timeline, not the
    substrate's bills; see ROADMAP for this documented approximation),
 2. collects every channel op and FaaS invocation span the execution touched
-   (via the :class:`~repro.cloud.contention.ContentionDomain` mount),
+   (via the ``arbiter`` slot of the cloud's :class:`~repro.cloud.ServiceHooks`),
 3. hands the op log to the :class:`~repro.concurrency.FairShareArbiter`,
    which interleaves it with every other in-flight unit's log and emits
    boundary events back onto the *same* server heap, and
@@ -49,8 +49,8 @@ __all__ = ["interleaved_serve"]
 class _OpCollector:
     """Collects one unit's channel/FaaS op spans during its solo execution.
 
-    Installed on the backend's :class:`~repro.cloud.contention.ContentionDomain`
-    around ``execute_batch``; the duck-typed counterpart of the arbiter hooks
+    Mounted as the ``arbiter`` hook of the backend's cloud around
+    ``execute_batch``; the duck-typed counterpart of the arbiter hooks
     in the cloud services.  Channel resources are namespaced per query;
     ``"faas"`` stays platform-global so the invocation quota binds across
     queries.
@@ -108,11 +108,8 @@ class _ContendedCompletion:
                 f"queue/topic/bucket resources)"
             )
         self._collector = _OpCollector(namespace)
-        self.backend.install_contention(self._collector)
-        try:
+        with self.backend.mounted(arbiter=self._collector):
             return self.backend.execute_batch(unit, at_time=at_time)
-        finally:
-            self.backend.clear_contention()
 
     def admitted(self, at: float, latency: float) -> List[_Event]:
         """Start the just-executed unit's chain; returns its heap events."""

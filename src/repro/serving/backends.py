@@ -24,8 +24,9 @@ handling.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, ContextManager, Dict, List, Optional, Sequence, Tuple
 
 from scipy import sparse
 
@@ -199,59 +200,17 @@ class ServingBackend(ABC):
     def set_outcome_caching(self, enabled: bool) -> None:
         """Toggle Tier-A outcome memoisation (no-op without the mixin)."""
 
-    # -- chaos hooks ---------------------------------------------------------
-    #
-    # Backends running on a simulated cloud (``self.cloud``) arm/disarm that
-    # environment's fault domain; substrate-free backends (HPC) are no-ops.
+    def mounted(self, **hooks: Any) -> ContextManager[Any]:
+        """Mount ``hooks`` on the backend's cloud environment for a block.
 
-    def install_chaos(self, injector: Any, channel_retry: Any = None) -> None:
-        """Arm the backend's cloud environment with a fault injector."""
+        See :class:`~repro.cloud.ServiceHooks` for the hook names.  A
+        substrate-free backend (HPC) has no cloud to mount on; the block
+        runs unhooked, and telemetry still traces at the server level.
+        """
         cloud = getattr(self, "cloud", None)
-        if cloud is not None:
-            cloud.install_chaos(injector, channel_retry)
-
-    def clear_chaos(self) -> None:
-        """Disarm fault injection on the backend's cloud environment."""
-        cloud = getattr(self, "cloud", None)
-        if cloud is not None:
-            cloud.clear_chaos()
-
-    # -- telemetry hooks -----------------------------------------------------
-    #
-    # Same shape as the chaos hooks: backends running on a simulated cloud
-    # arm/disarm that environment's telemetry domain; substrate-free
-    # backends (HPC) are no-ops and still trace at the server level.
-
-    def install_telemetry(self, tracer: Any) -> None:
-        """Arm the backend's cloud environment with a tracer."""
-        cloud = getattr(self, "cloud", None)
-        if cloud is not None:
-            cloud.install_telemetry(tracer)
-
-    def clear_telemetry(self) -> None:
-        """Disarm telemetry on the backend's cloud environment."""
-        cloud = getattr(self, "cloud", None)
-        if cloud is not None:
-            cloud.clear_telemetry()
-
-    # -- contention hooks ----------------------------------------------------
-    #
-    # Same shape again: the interleaved serve loop mounts an op collector
-    # around each unit's solo execution so the fair-share arbiter can stretch
-    # overlapping timelines afterwards.  Substrate-free backends (HPC)
-    # collect nothing and interleave without contention.
-
-    def install_contention(self, collector: Any) -> None:
-        """Arm the backend's cloud environment with a contention op collector."""
-        cloud = getattr(self, "cloud", None)
-        if cloud is not None:
-            cloud.install_contention(collector)
-
-    def clear_contention(self) -> None:
-        """Disarm contention collection on the backend's cloud environment."""
-        cloud = getattr(self, "cloud", None)
-        if cloud is not None:
-            cloud.clear_contention()
+        if cloud is None:
+            return nullcontext()
+        return cloud.hooks.mounted(**hooks)
 
     def attempt_begin(self) -> Any:
         """Snapshot backend state before a dispatch that may fail mid-flight."""

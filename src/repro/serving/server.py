@@ -607,32 +607,30 @@ def serve_mounts(
     """Mount one serve's hooks on ``backend``; unmount them however it ends.
 
     Yields ``(injector, tracer, serve_span)``, each ``None`` when its feature
-    is off.  The tracer is installed before the caller's ``begin()`` so
-    setup-phase channel ops are captured too.  Every serve path mounts
-    through here, so a serve that raises never leaves a stale injector,
-    tracer or cache toggle behind for the backend's next serve.
+    is off.  The injector and tracer are mounted before the caller's
+    ``begin()`` so setup-phase channel ops are captured too.  Every serve
+    path mounts through here, so a serve that raises never leaves a stale
+    injector, tracer or cache toggle behind for the backend's next serve.
     """
     injector = tracer = serve_span = None
-    try:
-        if config.chaos is not None:
-            injector = config.chaos.build_injector(horizon_seconds)
-            backend.install_chaos(injector, config.chaos.channel_retry)
-        if config.telemetry is not None:
-            tracer = config.telemetry.build_tracer()
-            backend.install_telemetry(tracer)
+    hooks = {}
+    if config.chaos is not None:
+        injector = config.chaos.build_injector(horizon_seconds)
+        hooks.update(injector=injector, channel_retry=config.chaos.channel_retry)
+    if config.telemetry is not None:
+        tracer = hooks["tracer"] = config.telemetry.build_tracer()
+    with backend.mounted(**hooks):
+        if tracer is not None:
             serve_span = tracer.begin_span(
                 "serve", track="server", start=0.0, backend=backend.name
             )
         if use_cache:
             backend.set_outcome_caching(True)
-        yield injector, tracer, serve_span
-    finally:
-        if use_cache:
-            backend.set_outcome_caching(False)
-        if injector is not None:
-            backend.clear_chaos()
-        if tracer is not None:
-            backend.clear_telemetry()
+        try:
+            yield injector, tracer, serve_span
+        finally:
+            if use_cache:
+                backend.set_outcome_caching(False)
 
 
 def record_query_spans(

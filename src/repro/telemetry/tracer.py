@@ -9,9 +9,9 @@ recorded by the exact event loop or the columnar fast path.
 
 The tracer is mounted behind the same gating pattern the chaos injector
 proved out: the serving layer builds one :class:`Tracer` per serve when
-``ServingConfig(telemetry=...)`` is set and installs it on the backend's
-cloud environment via :class:`repro.cloud.TelemetryDomain`; every
-instrumentation point in the services is a single ``if tracer is not
+``ServingConfig(telemetry=...)`` is set and mounts it as the ``tracer``
+hook of the backend's cloud environment (:class:`repro.cloud.ServiceHooks`);
+every instrumentation point in the services is a single ``if tracer is not
 None`` check, so telemetry-off runs execute the exact same code -- and
 produce the exact same clocks, bills and fingerprints -- as before this
 package existed.

@@ -190,7 +190,12 @@ def run_endpoint_query(
         )
 
     payload_per_sample = _per_sample_payload_bytes(batch)
-    samples_per_request = max(1, int(limits.max_payload_bytes // payload_per_sample))
+    # Deliberate semantic change: a zero-sample batch used to divide by its
+    # zero per-sample payload (ZeroDivisionError); it now sends no request
+    # and returns a zero-work result, like the server and HPC baselines.
+    samples_per_request = (
+        max(1, int(limits.max_payload_bytes // payload_per_sample)) if samples else 0
+    )
     vcpus = limits.memory_mb / MEMORY_MB_PER_VCPU
     latency_model = cloud.latency
     prices = cloud.prices
@@ -239,7 +244,7 @@ def run_endpoint_query(
         )
         cursor = stop
 
-    if processed == 0:
+    if processed == 0 and samples:
         raise EndpointInfeasibleError(
             f"no request of model '{model.name}' completes within the "
             f"{limits.max_runtime_seconds:.0f}s endpoint runtime limit"

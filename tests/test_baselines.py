@@ -1,8 +1,10 @@
 """Tests for the server, HPC and managed-endpoint baselines."""
 
 import pytest
+from scipy.sparse import csr_matrix
 
 from repro import (
+    CloudEnvironment,
     EndpointInfeasibleError,
     EndpointLimits,
     GraphChallengeConfig,
@@ -147,3 +149,24 @@ class TestEndpointBaseline:
     def test_per_sample_ms_positive(self, cloud, baseline_model, baseline_batch):
         result = run_endpoint_query(cloud, baseline_model, baseline_batch)
         assert result.per_sample_ms > 0
+
+
+class TestZeroSampleBatch:
+    """A zero-sample batch is zero work on every baseline, not a crash."""
+
+    @pytest.mark.parametrize("baseline", ["server", "endpoint", "hpc"])
+    def test_zero_sample_batch_is_zero_work(self, baseline_model, baseline):
+        empty = csr_matrix((baseline_model.num_neurons, 0))
+        cloud = CloudEnvironment()
+        if baseline == "server":
+            result = run_server_query(cloud, baseline_model, empty, ServerMode.ALWAYS_ON_HOT)
+            assert result.batch_size == 0 and result.compute_seconds == 0.0
+        elif baseline == "endpoint":
+            result = run_endpoint_query(cloud, baseline_model, empty)
+            assert result.processed_samples == result.requested_samples == 0
+            assert result.requests == 0 and result.cost == 0.0
+            assert len(cloud.ledger) == 0  # no request billed
+        else:
+            result = run_hpc_query(baseline_model, empty, ranks=2)
+            assert result.batch_size == 0
+        assert result.per_sample_ms == 0.0

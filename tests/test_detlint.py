@@ -59,24 +59,42 @@ class TestFixtureCorpus:
         assert {f.symbol for f in result.findings} == {"time", "perf_counter", "now"}
 
     def test_det005_distinguishes_gate_and_mutation(self):
+        # Per hook: one ungated call and two mutations before its gate, each
+        # finding naming the feature-off mode it would break.
         result = lint_fixture("det005_fire.py")
-        symbols = [f.symbol for f in result.findings]
-        assert symbols.count("check") == 1  # the ungated call
-        assert symbols.count("mutation-before-gate") == 2
+        by_mode = {}
+        for finding in result.findings:
+            (mode,) = [
+                m for m in ("chaos-off", "telemetry-off", "contention-off") if m in finding.message
+            ]
+            by_mode.setdefault(mode, []).append(finding.symbol)
+        assert sorted(by_mode["chaos-off"]) == ["check"] + ["mutation-before-gate"] * 3
+        assert sorted(by_mode["telemetry-off"]) == ["channel_op"] + ["mutation-before-gate"] * 2
+        assert sorted(by_mode["contention-off"]) == ["channel_op"] + ["mutation-before-gate"] * 2
 
-    def test_det008_distinguishes_gate_and_mutation(self):
-        result = lint_fixture("det008_fire.py")
-        symbols = [f.symbol for f in result.findings]
-        assert symbols.count("channel_op") == 1  # the ungated call
-        assert symbols.count("mutation-before-gate") == 2
+    def test_det005_checks_each_hooks_own_first_gate(self):
+        # A mutation after the tracer gate but before the injector gate must
+        # fire: checking against the earliest gate of any hook would pass it.
+        source = (FIXTURES / "det005_fire.py").read_text().splitlines()
+        (line,) = [
+            number
+            for number, text in enumerate(source, start=1)
+            if "after the telemetry gate, before the injection check" in text
+        ]
+        result = lint_fixture("det005_fire.py")
+        at_line = [f for f in result.findings if f.line == line]
+        assert len(at_line) == 1
+        assert at_line[0].symbol == "mutation-before-gate"
+        assert "injection check" in at_line[0].message
+        assert "chaos-off" in at_line[0].message
 
-    def test_det008_only_bites_in_cloud_services(self):
+    def test_det005_tracer_gate_only_bites_in_cloud_services(self):
         # The serving layer holds `tracer` in plain locals without the gate
-        # idiom (it builds the tracer itself); DET008 is scoped to cloud/.
+        # idiom (it builds the tracer itself); DET005 is scoped to cloud/.
         ungated = (
             "class C:\n"
             "    def f(self, clock):\n"
-            "        self._telemetry.tracer.channel_op('q', 'op', 'r', clock.now)\n"
+            "        self._hooks.tracer.channel_op('q', 'op', 'r', clock.now)\n"
         )
         assert lint_source(ungated, "src/repro/serving/server.py").findings == []
         assert lint_source(ungated, "src/repro/cloud/queues.py").findings != []
@@ -107,7 +125,7 @@ class TestFixtureCorpus:
         ungated = (
             "class C:\n"
             "    def f(self, clock):\n"
-            "        self._faults.injector.check('q', 'op', 'r', clock.now)\n"
+            "        self._hooks.injector.check('q', 'op', 'r', clock.now)\n"
         )
         assert lint_source(ungated, "src/repro/serving/backends.py").findings == []
 
@@ -333,7 +351,7 @@ class TestCli:
 
 class TestRuleFramework:
     def test_rule_ids_are_stable_and_unique(self):
-        assert RULE_IDS == tuple(f"DET00{i}" for i in range(1, 10))
+        assert RULE_IDS == tuple(f"DET00{i}" for i in range(1, 8))
 
     def test_every_rule_documents_its_invariant(self):
         for row in rule_table():

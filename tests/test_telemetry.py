@@ -224,10 +224,36 @@ class TestHooksUnmountWhenAServeRaises:
         server = InferenceServer(backend, replace(config, telemetry=TelemetryConfig()))
         with pytest.raises(RuntimeError, match="second execution"):
             server.serve(_workload())
-        assert backend.cloud.telemetry.tracer is None
-        assert backend.cloud.faults.injector is None
-        assert backend.cloud.contention.arbiter is None
+        hooks = backend.cloud.hooks
+        assert (hooks.injector, hooks.channel_retry, hooks.tracer, hooks.arbiter) == (None,) * 4
         assert backend._cache_active is False and backend._cache_sink is None
+
+
+class TestServiceHooksMount:
+    """``ServiceHooks.mounted`` sets named hooks and restores them on exit."""
+
+    def test_mount_restores_previous_values_even_on_error(self):
+        hooks = CloudEnvironment().hooks
+        with hooks.mounted(tracer="outer"):
+            with pytest.raises(RuntimeError):
+                with hooks.mounted(tracer="inner", arbiter="collector"):
+                    assert (hooks.tracer, hooks.arbiter) == ("inner", "collector")
+                    raise RuntimeError("block failed")
+            assert (hooks.tracer, hooks.arbiter) == ("outer", None)
+        assert hooks.tracer is None
+
+    def test_unknown_hook_name_is_rejected_before_mounting(self):
+        hooks = CloudEnvironment().hooks
+        with pytest.raises(TypeError, match="tracr"):
+            with hooks.mounted(injector="fault", tracr="typo"):
+                pass
+        assert hooks.injector is None
+
+    def test_every_service_shares_the_environment_mount(self):
+        cloud = CloudEnvironment()
+        queue = cloud.queues.create_queue("q")
+        bucket = cloud.object_storage.create_bucket("b")
+        assert queue._hooks is bucket._hooks is cloud.ledger._hooks is cloud.hooks
 
 
 class TestCoalescedEvent:
